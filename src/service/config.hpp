@@ -32,20 +32,15 @@ const char* to_string(DispatchPolicy p);
 double decorrelated_backoff_ms(double base_ms, double prev_ms,
                                double max_ms, std::uint64_t& state);
 
-/// Fault-tolerance policy of the service (docs/ROBUSTNESS.md). Defaults
-/// are the production setting: guards on, retries with failover, breaker
-/// armed — with injection disabled none of it touches the hot path
-/// beyond one O(n) screening pass per system.
+/// Fault-tolerance policy of the service (docs/ROBUSTNESS.md). Every
+/// solve goes through solver::GuardedSolver (prescreen, chunking,
+/// quarantine bisect, residual postcheck, pivoting CPU fallback); a
+/// batch whose retries are spent fails over to up to (num_workers - 1)
+/// other workers, then to the pivoting CPU solver. Defaults are the
+/// production setting: retries with jittered backoff, breaker armed —
+/// with injection disabled none of it touches the hot path beyond one
+/// O(n) screening pass per system.
 struct ResilienceConfig {
-  /// Route solves through solver::GuardedSolver (prescreen, quarantine
-  /// bisect, residual postcheck, pivoting CPU fallback). Off restores
-  /// the legacy all-or-nothing batch behavior.
-  bool guards = true;
-  /// Dominance floor / residual tolerance forwarded to the guards
-  /// (see solver::GuardConfig).
-  double dominance_floor = 0.0;
-  double residual_tol = 0.0;
-
   /// Device-fault retries on the same worker before failing over.
   int max_retries = 2;
   /// Base of the retry backoff (wall-clock ms). With jitter on (the
@@ -59,12 +54,6 @@ struct ResilienceConfig {
   /// flaky device failing many workers at once) make synchronized
   /// exponential waves retry in lockstep; jitter spreads them out.
   bool retry_jitter = true;
-  /// After retries are exhausted, hand the batch to up to
-  /// (num_workers - 1) other workers before the CPU path.
-  bool device_failover = true;
-  /// Last resort: solve the batch with the pivoting CPU solver instead
-  /// of failing it when every device attempt was exhausted.
-  bool cpu_failover = true;
 
   /// Consecutive device failures that open a worker's circuit breaker.
   int breaker_threshold = 3;
@@ -131,7 +120,7 @@ struct ServiceConfig {
 
   /// Per-worker device memory budget override in bytes; 0 keeps each
   /// device's own default (its spec / $TDA_MEM_BUDGET). Solves that
-  /// exceed the budget are chunked (solver::ChunkedSolver).
+  /// exceed the budget are chunked (solver::GuardedSolver).
   std::size_t mem_budget_bytes = 0;
   /// Memory-aware admission: reject/shed a request when the projected
   /// device-resident footprint of everything admitted-but-unfinished

@@ -62,7 +62,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -79,7 +78,6 @@
 #include "service/config.hpp"
 #include "service/request.hpp"
 #include "solver/cancel.hpp"
-#include "solver/chunked.hpp"
 #include "solver/gpu_solver.hpp"
 #include "solver/guards.hpp"
 #include "solver/ragged.hpp"
@@ -1274,12 +1272,8 @@ class SolveService {
 
     const auto& res = cfg_.resilience;
     const TimePoint t_solve0 = Clock::now();
-    solver::SolveStats stats;
-    std::vector<solver::SystemStatus> sys_status(
-        m, solver::SystemStatus::Ok);
+    solver::GuardedSolveResult<T> result;
     std::size_t batch_retries = 0;
-    std::size_t quarantined = 0;
-    solver::ChunkStats chunk_stats;
     bool solved = false;
     bool device_exhausted = false;
     bool cancelled = false;
@@ -1312,22 +1306,13 @@ class SolveService {
         }
         solver::GpuTridiagonalSolver<T> solver(w.dev, tuned.points);
         solver.set_cancel_token(token);
-        std::optional<solver::GuardConfig> gc;
-        if (res.guards) {
-          gc.emplace();
-          gc->dominance_floor = res.dominance_floor;
-          gc->residual_tol = res.residual_tol;
-        }
-        // ChunkedSolver splits the batch when its device footprint
+        // GuardedSolver splits the batch when its device footprint
         // exceeds the worker's memory budget and absorbs OutOfMemory
-        // (genuine or injected) by bisecting down to a CPU-fallback
-        // floor — so OOM never reaches the retry loop below.
-        solver::ChunkedSolver<T> chunked(w.dev, solver, gc);
-        auto cres = chunked.solve(batch);
-        stats = cres.guarded.stats;
-        sys_status = std::move(cres.guarded.status);
-        quarantined = cres.guarded.quarantined;
-        chunk_stats = cres.chunking;
+        // (genuine or injected) and numerical errors by bisecting down
+        // to a CPU-fallback floor — so neither reaches the retry loop
+        // below.
+        solver::GuardedSolver<T> guarded(w.dev, solver);
+        result = guarded.solve(batch);
         record_device_result(w, true);
         solved = true;
       } catch (const solver::SolveCancelled&) {
@@ -1368,8 +1353,8 @@ class SolveService {
         error = e.what();
         break;
       } catch (const std::exception& e) {
-        // Numerical errors are absorbed by the guards; anything else
-        // here is non-retryable (e.g. legacy no-guards mode).
+        // Numerical errors and OOM are absorbed by the guards; anything
+        // else here is non-retryable.
         error = e.what();
         break;
       }
@@ -1418,8 +1403,7 @@ class SolveService {
       // Retries on this device are spent. Hand the whole job to another
       // worker (bounded by the pool size so it cannot ping-pong
       // forever), or solve it on the CPU as the last resort.
-      if (res.device_failover && workers_.size() > 1 &&
-          job.failovers + 1 < workers_.size()) {
+      if (workers_.size() > 1 && job.failovers + 1 < workers_.size()) {
         std::lock_guard lk(mu_);
         Worker* alt = nullptr;
         const TimePoint now = Clock::now();
@@ -1443,19 +1427,16 @@ class SolveService {
           return;
         }
       }
-      if (res.cpu_failover) {
-        counters_cpu_failovers_.fetch_add(1, std::memory_order_relaxed);
-        if (telemetry_.metrics.enabled()) {
-          telemetry_.metrics.add("service.cpu_failovers");
-        }
-        for (std::size_t i = 0; i < m; ++i) {
-          sys_status[i] = solver::pivoting_fallback<T>(batch.system(i),
-                                                       batch.solution(i));
-        }
-        stats = {};
-        solved = true;
-        error.clear();
+      counters_cpu_failovers_.fetch_add(1, std::memory_order_relaxed);
+      if (telemetry_.metrics.enabled()) {
+        telemetry_.metrics.add("service.cpu_failovers");
       }
+      result = {};
+      result.status.resize(m);
+      solver::fallback_range(batch, 0, m, result.status);
+      result.tally();
+      solved = true;
+      error.clear();
     }
     const TimePoint t_solve1 = Clock::now();
 
@@ -1468,79 +1449,59 @@ class SolveService {
       return;
     }
 
-    std::size_t n_ok = 0, n_fallback = 0, n_singular = 0, n_nonfinite = 0;
-    for (const auto s : sys_status) {
-      switch (s) {
-        case solver::SystemStatus::Ok: ++n_ok; break;
-        case solver::SystemStatus::FallbackUsed: ++n_fallback; break;
-        case solver::SystemStatus::Singular: ++n_singular; break;
-        case solver::SystemStatus::NonFinite: ++n_nonfinite; break;
-      }
-    }
-
-    counters_device_ms_.fetch_add(stats.total_ms,
+    const std::size_t n_solved = result.gpu_solved + result.fallback_used;
+    counters_device_ms_.fetch_add(result.stats.total_ms,
                                   std::memory_order_relaxed);
     // Account BEFORE fulfilling promises: anyone who has observed a
     // future resolve must see counters that include that request.
-    count_terminal(SolveStatus::Ok, n_ok + n_fallback);
-    if (n_singular > 0) count_terminal(SolveStatus::Singular, n_singular);
-    if (n_nonfinite > 0)
-      count_terminal(SolveStatus::NonFinite, n_nonfinite);
-    if (n_fallback > 0) {
-      counters_fallbacks_.fetch_add(n_fallback, std::memory_order_relaxed);
+    count_terminal(SolveStatus::Ok, n_solved);
+    if (result.singular > 0) {
+      count_terminal(SolveStatus::Singular, result.singular);
     }
-    if (quarantined > 0) {
-      counters_quarantined_.fetch_add(quarantined,
+    if (result.nonfinite > 0) {
+      count_terminal(SolveStatus::NonFinite, result.nonfinite);
+    }
+    counters_fallbacks_.fetch_add(result.fallback_used,
+                                  std::memory_order_relaxed);
+    counters_quarantined_.fetch_add(result.quarantined,
+                                    std::memory_order_relaxed);
+    counters_chunks_.fetch_add(result.chunks, std::memory_order_relaxed);
+    if (result.chunks > 1) {
+      counters_chunked_solves_.fetch_add(1, std::memory_order_relaxed);
+    }
+    counters_oom_events_.fetch_add(result.oom_events,
+                                   std::memory_order_relaxed);
+    counters_oom_fallbacks_.fetch_add(result.oom_fallback_systems,
                                       std::memory_order_relaxed);
-    }
-    if (chunk_stats.chunks > 0) {
-      counters_chunks_.fetch_add(chunk_stats.chunks,
-                                 std::memory_order_relaxed);
-      if (chunk_stats.chunks > 1) {
-        counters_chunked_solves_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    if (chunk_stats.oom_events > 0) {
-      counters_oom_events_.fetch_add(chunk_stats.oom_events,
-                                     std::memory_order_relaxed);
-    }
-    if (chunk_stats.oom_fallback_systems > 0) {
-      counters_oom_fallbacks_.fetch_add(chunk_stats.oom_fallback_systems,
-                                        std::memory_order_relaxed);
-    }
     if (telemetry_.metrics.enabled()) {
       auto& mx = telemetry_.metrics;
-      if (chunk_stats.chunks > 1) {
+      if (result.chunks > 1) {
         mx.add("service.chunked_solves");
-        mx.add("service.chunks",
-               static_cast<double>(chunk_stats.chunks));
+        mx.add("service.chunks", static_cast<double>(result.chunks));
       }
-      if (chunk_stats.oom_events > 0) {
+      if (result.oom_events > 0) {
         mx.add("service.oom_events",
-               static_cast<double>(chunk_stats.oom_events));
+               static_cast<double>(result.oom_events));
       }
-      if (chunk_stats.oom_fallback_systems > 0) {
+      if (result.oom_fallback_systems > 0) {
         mx.add("service.oom_fallbacks",
-               static_cast<double>(chunk_stats.oom_fallback_systems));
+               static_cast<double>(result.oom_fallback_systems));
       }
-    }
-    if (telemetry_.metrics.enabled()) {
-      telemetry_.metrics.observe("service.solve_ms", stats.total_ms);
-      telemetry_.metrics.add("service.solved_systems",
-                             static_cast<double>(n_ok + n_fallback));
-      if (n_fallback > 0) {
-        telemetry_.metrics.add("service.fallback_used",
-                               static_cast<double>(n_fallback));
+      mx.observe("service.solve_ms", result.stats.total_ms);
+      mx.add("service.solved_systems", static_cast<double>(n_solved));
+      if (result.fallback_used > 0) {
+        mx.add("service.fallback_used",
+               static_cast<double>(result.fallback_used));
       }
-      if (quarantined > 0) {
-        telemetry_.metrics.add("service.quarantined",
-                               static_cast<double>(quarantined));
+      if (result.quarantined > 0) {
+        mx.add("service.quarantined",
+               static_cast<double>(result.quarantined));
       }
     }
     for (std::size_t i = 0; i < m; ++i) {
       SolveResponse<T> resp;
       const char* outcome = "ok";
-      switch (sys_status[i]) {
+      switch (result.status[i]) {
         case solver::SystemStatus::Ok:
           resp.status = SolveStatus::Ok;
           break;
@@ -1567,11 +1528,11 @@ class SolveService {
       resp.trace_id = live[i].ctx.trace_id;
       resp.batch_systems = m;
       resp.retries = batch_retries;
-      resp.chunks = chunk_stats.chunks;
+      resp.chunks = result.chunks;
       resp.wait_ms = std::chrono::duration<double, std::milli>(
                          job.flush_tp - live[i].enqueue_tp)
                          .count();
-      resp.solve_ms = stats.total_ms;
+      resp.solve_ms = result.stats.total_ms;
       resp.device = w.dev.spec().name;
       if (telemetry_.metrics.enabled()) {
         telemetry_.metrics.observe("service.wait_ms", resp.wait_ms);
@@ -1612,12 +1573,13 @@ class SolveService {
       tr.attr(enq, "trigger", job.trigger);
       span("flush", job.flush_tp, t_solve0, under_batch);
       const auto slv = span("solve", t_solve0, t_solve1, under_batch);
-      tr.attr(slv, "sim_ms", stats.total_ms);
+      tr.attr(slv, "sim_ms", result.stats.total_ms);
       if (batch_retries > 0) {
         tr.attr(slv, "retries", static_cast<double>(batch_retries));
       }
-      if (n_fallback > 0) {
-        tr.attr(slv, "fallbacks", static_cast<double>(n_fallback));
+      if (result.fallback_used > 0) {
+        tr.attr(slv, "fallbacks",
+                static_cast<double>(result.fallback_used));
       }
       span("complete", t_solve1, t_done, under_batch);
     }

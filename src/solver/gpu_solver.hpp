@@ -52,6 +52,26 @@ struct SolveStats {
   double host_stage3_ms = 0.0;
   double host_transpose_ms = 0.0;
   std::size_t kernel_launches = 0;
+
+  /// Sums another solve's breakdown into this one, every timing field
+  /// and the launch count — how a guarded solve reports the GPU
+  /// sub-batches it ran as one solve. The plan kept is the first
+  /// sub-batch's.
+  SolveStats& operator+=(const SolveStats& part) {
+    if (kernel_launches == 0) plan = part.plan;
+    total_ms += part.total_ms;
+    stage1_ms += part.stage1_ms;
+    stage2_ms += part.stage2_ms;
+    stage3_ms += part.stage3_ms;
+    transpose_ms += part.transpose_ms;
+    host_total_ms += part.host_total_ms;
+    host_stage1_ms += part.host_stage1_ms;
+    host_stage2_ms += part.host_stage2_ms;
+    host_stage3_ms += part.host_stage3_ms;
+    host_transpose_ms += part.host_transpose_ms;
+    kernel_launches += part.kernel_launches;
+    return *this;
+  }
 };
 
 template <typename T>
@@ -90,7 +110,8 @@ class GpuTridiagonalSolver {
   /// Coefficient arrays of `batch` are left untouched (work happens in a
   /// device-side copy). Returns the simulated timing breakdown. The
   /// device copy counts against the device's memory budget (throws
-  /// gpusim::OutOfMemory when it does not fit — see ChunkedSolver).
+  /// gpusim::OutOfMemory when it does not fit — GuardedSolver chunks
+  /// the batch to the budget).
   SolveStats solve(tridiag::TridiagBatch<T>& batch) {
     kernels::DeviceBatch<T> dbatch(*dev_, batch);
     SolveStats stats = run(dbatch, kernels::ExecMode::Full);

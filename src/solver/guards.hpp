@@ -1,30 +1,38 @@
 #pragma once
-// Numerical guards around the multi-stage GPU solver (docs/ROBUSTNESS.md).
+// Numerical guards and memory-budget chunking around the multi-stage GPU
+// solver (docs/ROBUSTNESS.md).
 //
 // The paper's PCR/Thomas chain is pivot-free: it is fast and exact on
 // diagonally dominant systems and silently wrong (or worse, throwing from
 // a zero pivot mid-batch) outside that envelope. GuardedSolver wraps
-// GpuTridiagonalSolver with the three defenses a production service
+// GpuTridiagonalSolver in the one execution path a production service
 // needs, and turns "exception or garbage" into a typed per-system
 // SystemStatus:
 //
 //   1. pre-solve screening — finiteness and diagonal-dominance
 //      classification per system; non-finite systems are rejected
-//      outright, zero-diagonal (or below-floor dominance) systems are
-//      routed to the pivoting CPU fallback before they can poison a
-//      GPU batch;
-//   2. quarantine bisect — when the GPU chain still throws a numerical
-//      ContractError (PCR can manufacture a zero pivot from nonzero
-//      input), the batch is bisected so only the culprit systems are
-//      quarantined to the CPU path and every batchmate completes;
-//   3. post-solve residual check — each GPU solution is verified against
+//      outright, zero-diagonal systems are routed to the pivoting CPU
+//      fallback before they can poison a GPU batch;
+//   2. budget-sized chunks — a batched solve needs 9 device arrays of
+//      m*n elements (kernels::DeviceBatch); the systems that passed the
+//      screen are cut into chunks the device's currently available
+//      memory can hold, so a batch larger than the budget degrades to
+//      sequential sub-batches instead of a non-retryable OutOfMemory;
+//   3. one recursive bisect — when a chunk still throws, either a
+//      numerical ContractError (PCR can manufacture a zero pivot from
+//      nonzero input) or gpusim::OutOfMemory (a shared budget, or the
+//      `oom` fault site), it is halved and retried; at one system the
+//      culprit goes to the CPU fallback, so only it is quarantined and
+//      every batchmate completes;
+//   4. post-solve residual check — each GPU solution is verified against
 //      a relative residual tolerance; failures escalate to the CPU
 //      fallback (cpu/gtsv.hpp: LU with partial pivoting).
 //
-// Infrastructure failures (faults::DeviceFault) are deliberately NOT
-// handled here: they are retryable and the service owns retry/failover.
-// Only numerical errors are quarantined.
+// Infrastructure failures (faults::DeviceFault) and cooperative
+// cancellation (SolveCancelled) are deliberately NOT handled here: they
+// are retryable and the service owns retry/failover.
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <limits>
@@ -35,7 +43,11 @@
 #include "common/check.hpp"
 #include "common/strided_view.hpp"
 #include "cpu/gtsv.hpp"
+#include "gpusim/launch.hpp"
+#include "gpusim/memory.hpp"
+#include "kernels/device_batch.hpp"
 #include "solver/gpu_solver.hpp"
+#include "telemetry/telemetry.hpp"
 #include "tridiag/batch.hpp"
 
 namespace tda::solver {
@@ -57,21 +69,6 @@ inline const char* to_string(SystemStatus s) {
   }
   return "?";
 }
-
-/// Guard policy. Defaults are the production setting: everything on.
-struct GuardConfig {
-  bool prescreen = true;      ///< finiteness + dominance classification
-  bool postcheck = true;      ///< residual verification of GPU solutions
-  bool cpu_fallback = true;   ///< escalate failures to cpu::gtsv_solve
-  /// Systems whose dominance ratio min_i |b_i|/(|a_i|+|c_i|) falls below
-  /// this are routed straight to the pivoting fallback. 0 keeps weakly-
-  /// and non-dominant systems on the GPU (the residual check still
-  /// verifies them); 1.0 requires strict dominance for the GPU path.
-  double dominance_floor = 0.0;
-  /// Relative residual acceptance threshold; 0 selects the automatic
-  /// tolerance 1e4 * epsilon(T) (see auto_residual_tol).
-  double residual_tol = 0.0;
-};
 
 /// The default residual tolerance for element type T. Generous enough
 /// for legitimate weakly-dominant systems, tight enough that a PCR chain
@@ -189,6 +186,18 @@ SystemStatus pivoting_fallback(const tridiag::SystemView<T>& sys,
   return SystemStatus::FallbackUsed;
 }
 
+/// Sends systems [first, last) of the batch to pivoting_fallback and
+/// records each outcome in `status`. The one CPU escape hatch: the
+/// prescreen, the bisect floor, the residual postcheck and the service's
+/// last-resort CPU failover all go through it.
+template <typename T>
+void fallback_range(tridiag::TridiagBatch<T>& batch, std::size_t first,
+                    std::size_t last, std::vector<SystemStatus>& status) {
+  for (std::size_t s = first; s < last; ++s) {
+    status[s] = pivoting_fallback<T>(batch.system(s), batch.solution(s));
+  }
+}
+
 /// Outcome of one guarded batch solve.
 template <typename T>
 struct GuardedSolveResult {
@@ -199,8 +208,27 @@ struct GuardedSolveResult {
   std::size_t singular = 0;
   std::size_t nonfinite = 0;
   std::size_t prescreen_routed = 0;   ///< routed to CPU before the GPU ran
-  std::size_t quarantined = 0;        ///< isolated by the bisect
+  std::size_t quarantined = 0;        ///< isolated by a numerical bisect
   std::size_t residual_rejects = 0;   ///< GPU solutions failing the check
+  std::size_t chunks = 0;  ///< GPU sub-batch solves that completed
+  std::size_t planned_chunk_systems = 0;  ///< initial budget-derived size
+  std::size_t max_chunk_systems = 0;      ///< largest chunk that ran
+  std::size_t oom_events = 0;             ///< OutOfMemory throws absorbed
+  std::size_t oom_fallback_systems = 0;   ///< CPU-solved at the OOM floor
+
+  /// Recounts gpu_solved / fallback_used / singular / nonfinite from
+  /// the per-system statuses.
+  void tally() {
+    gpu_solved = fallback_used = singular = nonfinite = 0;
+    for (const SystemStatus s : status) {
+      switch (s) {
+        case SystemStatus::Ok: ++gpu_solved; break;
+        case SystemStatus::FallbackUsed: ++fallback_used; break;
+        case SystemStatus::Singular: ++singular; break;
+        case SystemStatus::NonFinite: ++nonfinite; break;
+      }
+    }
+  }
 
   [[nodiscard]] bool all_ok() const {
     for (const SystemStatus s : status) {
@@ -219,131 +247,143 @@ struct GuardedSolveResult {
   }
 };
 
-/// GpuTridiagonalSolver plus the guard pipeline. Non-owning: the inner
-/// solver (and its device) must outlive the guard.
+/// GpuTridiagonalSolver behind the guard pipeline: prescreen, budget-
+/// sized chunks, one bisect, residual postcheck. Non-owning: the device
+/// and the inner solver must outlive the guard.
 template <typename T>
 class GuardedSolver {
  public:
-  explicit GuardedSolver(GpuTridiagonalSolver<T>& inner, GuardConfig cfg = {})
-      : inner_(&inner), cfg_(cfg) {}
-
-  [[nodiscard]] const GuardConfig& config() const { return cfg_; }
-  void set_config(const GuardConfig& cfg) { cfg_ = cfg; }
-
-  [[nodiscard]] double residual_tol() const {
-    return cfg_.residual_tol > 0.0 ? cfg_.residual_tol
-                                   : auto_residual_tol<T>();
-  }
+  GuardedSolver(gpusim::Device& dev, GpuTridiagonalSolver<T>& inner)
+      : dev_(&dev), inner_(&inner) {}
 
   /// Solves every system of the batch, routing through the guards.
   /// batch.x() holds the solution of every system whose status is Ok or
-  /// FallbackUsed; other systems' x rows are untouched. Throws only for
-  /// infrastructure errors (faults::DeviceFault) — numerical failure is
-  /// always reported through the per-system status.
+  /// FallbackUsed; other systems' x rows are untouched. Never throws a
+  /// numerical ContractError or OutOfMemory — those are always reported
+  /// through the per-system status; faults::DeviceFault and
+  /// SolveCancelled propagate.
   GuardedSolveResult<T> solve(tridiag::TridiagBatch<T>& batch) {
     const std::size_t m = batch.num_systems();
+    const std::size_t n = batch.system_size();
     GuardedSolveResult<T> result;
     result.status.assign(m, SystemStatus::Ok);
+    if (m == 0) return result;
+
+    telemetry::Telemetry* tel = dev_->telemetry();
+    telemetry::ScopedSpan span(telemetry::tracer_of(tel), "chunked_solve",
+                               "solver");
+    span.attr("m", static_cast<double>(m));
+    span.attr("n", static_cast<double>(n));
 
     std::vector<std::size_t> gpu_list;
     gpu_list.reserve(m);
-    if (cfg_.prescreen) {
-      for (std::size_t s = 0; s < m; ++s) {
-        const auto screen =
-            prescreen_system<T>(batch.system(s), cfg_.dominance_floor);
-        switch (screen.verdict) {
-          case ScreenVerdict::Pass:
-            gpu_list.push_back(s);
-            break;
-          case ScreenVerdict::NonFinite:
-            result.status[s] = SystemStatus::NonFinite;
-            break;
-          case ScreenVerdict::NeedsPivoting:
-            ++result.prescreen_routed;
-            result.status[s] =
-                cfg_.cpu_fallback
-                    ? pivoting_fallback<T>(batch.system(s),
-                                           batch.solution(s))
-                    : SystemStatus::Singular;
-            break;
-        }
-      }
-    } else {
-      for (std::size_t s = 0; s < m; ++s) gpu_list.push_back(s);
-    }
-
-    if (!gpu_list.empty()) solve_group(batch, gpu_list, result);
-
-    if (cfg_.postcheck) {
-      const double tol = residual_tol();
-      for (std::size_t s = 0; s < m; ++s) {
-        if (result.status[s] != SystemStatus::Ok) continue;
-        const double res =
-            relative_residual<T>(batch.system(s), batch.solution(s));
-        if (res <= tol) continue;
-        ++result.residual_rejects;
-        result.status[s] =
-            cfg_.cpu_fallback
-                ? pivoting_fallback<T>(batch.system(s), batch.solution(s))
-                : (std::isfinite(res) ? SystemStatus::Singular
-                                      : SystemStatus::NonFinite);
-      }
-    }
-
     for (std::size_t s = 0; s < m; ++s) {
-      switch (result.status[s]) {
-        case SystemStatus::Ok: ++result.gpu_solved; break;
-        case SystemStatus::FallbackUsed: ++result.fallback_used; break;
-        case SystemStatus::Singular: ++result.singular; break;
-        case SystemStatus::NonFinite: ++result.nonfinite; break;
+      switch (prescreen_system<T>(batch.system(s)).verdict) {
+        case ScreenVerdict::Pass:
+          gpu_list.push_back(s);
+          break;
+        case ScreenVerdict::NonFinite:
+          result.status[s] = SystemStatus::NonFinite;
+          break;
+        case ScreenVerdict::NeedsPivoting:
+          ++result.prescreen_routed;
+          fallback_range(batch, s, s + 1, result.status);
+          break;
+      }
+    }
+
+    if (!gpu_list.empty()) {
+      const std::size_t per_sys = std::max<std::size_t>(
+          1, kernels::DeviceBatch<T>::footprint_bytes(1, n));
+      const std::size_t planned = std::clamp<std::size_t>(
+          dev_->memory().available() / per_sys, 1, gpu_list.size());
+      result.planned_chunk_systems = planned;
+      // Host-side staging for partial chunks, rebuilt only when the chunk
+      // size changes — steady-state chunking reuses one allocation.
+      tridiag::TridiagBatch<T> scratch;
+      const std::span<const std::size_t> list(gpu_list);
+      for (std::size_t start = 0; start < list.size(); start += planned) {
+        const std::size_t take = std::min(planned, list.size() - start);
+        solve_group(batch, list.subspan(start, take), result, scratch);
+      }
+    }
+
+    const double tol = auto_residual_tol<T>();
+    for (std::size_t s = 0; s < m; ++s) {
+      if (result.status[s] != SystemStatus::Ok) continue;
+      if (relative_residual<T>(batch.system(s), batch.solution(s)) <= tol) {
+        continue;
+      }
+      ++result.residual_rejects;
+      fallback_range(batch, s, s + 1, result.status);
+    }
+    result.tally();
+
+    span.attr("chunks", static_cast<double>(result.chunks));
+    span.attr("oom_events", static_cast<double>(result.oom_events));
+    if (tel != nullptr && tel->metrics.enabled()) {
+      auto& mx = tel->metrics;
+      mx.add("solver.chunked_solves");
+      mx.add("solver.chunks", static_cast<double>(result.chunks));
+      if (result.chunks > 1) mx.add("solver.split_solves");
+      if (result.oom_events > 0) {
+        mx.add("solver.chunk_oom", static_cast<double>(result.oom_events));
+      }
+      if (result.oom_fallback_systems > 0) {
+        mx.add("solver.oom_fallback_systems",
+               static_cast<double>(result.oom_fallback_systems));
       }
     }
     return result;
   }
 
  private:
-  /// Solves the listed systems on the GPU, bisecting on numerical
-  /// ContractError so one bad system cannot take down its batchmates.
-  /// Statuses of quarantined systems are written into `result`; systems
-  /// solved on the GPU keep status Ok (the residual check runs later).
+  /// Solves the listed systems on the GPU: in place when the list is the
+  /// whole batch (the common case), otherwise packed into `scratch`. A
+  /// numerical ContractError or an OutOfMemory bisects the list; at one
+  /// system the culprit goes to the pivoting fallback, counted as
+  /// quarantined or oom_fallback_systems by the error that sent it
+  /// there. Systems solved on the GPU keep status Ok (the residual check
+  /// runs later).
   void solve_group(tridiag::TridiagBatch<T>& batch,
                    std::span<const std::size_t> list,
-                   GuardedSolveResult<T>& result) {
+                   GuardedSolveResult<T>& result,
+                   tridiag::TridiagBatch<T>& scratch) {
+    bool oom = false;
     try {
       if (list.size() == batch.num_systems()) {
-        // Common case: everything passed the screen — solve in place.
-        accumulate(result.stats, inner_->solve(batch));
+        // Common case: everything passed the screen and fits the
+        // budget — solve in place.
+        result.stats += inner_->solve(batch);
       } else {
-        tridiag::TridiagBatch<T> sub(list.size(), batch.system_size());
-        pack(batch, list, sub);
-        accumulate(result.stats, inner_->solve(sub));
-        unpack_solutions(sub, list, batch);
+        const std::size_t n = batch.system_size();
+        if (scratch.num_systems() != list.size() ||
+            scratch.system_size() != n) {
+          scratch = tridiag::TridiagBatch<T>(list.size(), n);
+        }
+        pack(batch, list, scratch);
+        result.stats += inner_->solve(scratch);
+        unpack_solutions(scratch, list, batch);
       }
+      ++result.chunks;
+      result.max_chunk_systems = std::max(result.max_chunk_systems,
+                                          list.size());
       return;
     } catch (const ContractError&) {
       // Numerical failure somewhere in this group — bisect.
+    } catch (const gpusim::OutOfMemory&) {
+      // The group does not fit the budget (or `oom` fired) — bisect.
+      ++result.oom_events;
+      oom = true;
     }
     if (list.size() == 1) {
-      const std::size_t s = list.front();
-      ++result.quarantined;
-      result.status[s] =
-          cfg_.cpu_fallback
-              ? pivoting_fallback<T>(batch.system(s), batch.solution(s))
-              : SystemStatus::Singular;
+      ++(oom ? result.oom_fallback_systems : result.quarantined);
+      fallback_range(batch, list.front(), list.front() + 1, result.status);
       return;
     }
     const std::size_t half = list.size() / 2;
-    solve_group(batch, list.subspan(0, half), result);
-    solve_group(batch, list.subspan(half), result);
-  }
-
-  static void accumulate(SolveStats& into, const SolveStats& part) {
-    if (into.kernel_launches == 0) into.plan = part.plan;
-    into.total_ms += part.total_ms;
-    into.stage1_ms += part.stage1_ms;
-    into.stage2_ms += part.stage2_ms;
-    into.stage3_ms += part.stage3_ms;
-    into.kernel_launches += part.kernel_launches;
+    solve_group(batch, list.subspan(0, half), result, scratch);
+    solve_group(batch, list.subspan(half), result, scratch);
   }
 
   static void pack(tridiag::TridiagBatch<T>& from,
@@ -375,8 +415,8 @@ class GuardedSolver {
     }
   }
 
+  gpusim::Device* dev_;
   GpuTridiagonalSolver<T>* inner_;
-  GuardConfig cfg_;
 };
 
 }  // namespace tda::solver

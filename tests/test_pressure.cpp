@@ -1,6 +1,6 @@
 // Tests for graceful degradation under resource exhaustion: device
 // memory accounting (gpusim/memory.hpp), the `oom` fault site, adaptive
-// batch splitting (solver/chunked.hpp), memory-aware admission and the
+// batch splitting (solver/guards.hpp), memory-aware admission and the
 // in-flight watchdog of the solve service. Every test pins its own
 // budgets and fault config so an ambient TDA_MEM_BUDGET / TDA_FAULTS
 // (the CI memory-pressure job sets both) cannot change the outcome.
@@ -20,7 +20,6 @@
 #include "gpusim/memory.hpp"
 #include "kernels/device_batch.hpp"
 #include "service/solve_service.hpp"
-#include "solver/chunked.hpp"
 #include "solver/guards.hpp"
 #include "solver/ragged.hpp"
 #include "tuning/tuners.hpp"
@@ -175,7 +174,7 @@ double batch_residual(const tridiag::TridiagBatch<double>& b) {
   return worst;
 }
 
-TEST(ChunkedSolver, MatchesUnchunkedAcrossSwitchPoints) {
+TEST(GuardedChunking, MatchesUnchunkedAcrossSwitchPoints) {
   faults::ScopedFaultConfig quiet{faults::FaultConfig{}};
   // Sizes spanning the stage-1/2/3/4 switch points, incl. 1-equation
   // systems.
@@ -191,7 +190,7 @@ TEST(ChunkedSolver, MatchesUnchunkedAcrossSwitchPoints) {
 
     // Unchunked reference under an unlimited budget.
     dev.set_mem_budget(0);
-    solver::GuardedSolver<double> guard(inner);
+    solver::GuardedSolver<double> guard(dev, inner);
     const auto ref = guard.solve(reference);
     ASSERT_TRUE(ref.all_solved()) << "n=" << n;
 
@@ -200,12 +199,10 @@ TEST(ChunkedSolver, MatchesUnchunkedAcrossSwitchPoints) {
         kernels::DeviceBatch<double>::footprint_bytes(m, n);
     dev.set_mem_budget(std::max<std::size_t>(full / 10,
         kernels::DeviceBatch<double>::footprint_bytes(1, n)));
-    solver::ChunkedSolver<double> chunked(dev, inner);
-    const auto got = chunked.solve(chunked_in);
-    ASSERT_TRUE(got.guarded.all_solved()) << "n=" << n;
-    EXPECT_GT(got.chunking.chunks, 1u) << "n=" << n;
-    EXPECT_LE(got.chunking.max_chunk_systems,
-              got.chunking.planned_chunk_systems);
+    const auto got = guard.solve(chunked_in);
+    ASSERT_TRUE(got.all_solved()) << "n=" << n;
+    EXPECT_GT(got.chunks, 1u) << "n=" << n;
+    EXPECT_LE(got.max_chunk_systems, got.planned_chunk_systems);
 
     // Chunked sub-batches may execute a different stage plan than the
     // full batch (the plan depends on m), so the contract is residual
@@ -215,7 +212,7 @@ TEST(ChunkedSolver, MatchesUnchunkedAcrossSwitchPoints) {
   }
 }
 
-TEST(ChunkedSolver, BisectsToCpuFallbackWhenNothingFits) {
+TEST(GuardedChunking, BisectsToCpuFallbackWhenNothingFits) {
   faults::ScopedFaultConfig quiet{faults::FaultConfig{}};
   gpusim::Device dev(gpusim::geforce_gtx_470());
   auto points = tuning::default_switch_points<double>();
@@ -224,17 +221,17 @@ TEST(ChunkedSolver, BisectsToCpuFallbackWhenNothingFits) {
   // the floor and degrades to the pivoting CPU path.
   dev.set_mem_budget(16);
   auto batch = random_batch(6, 32, 77);
-  solver::ChunkedSolver<double> chunked(dev, inner);
-  const auto res = chunked.solve(batch);
-  ASSERT_TRUE(res.guarded.all_solved());
-  EXPECT_EQ(res.guarded.fallback_used, 6u);
-  EXPECT_EQ(res.chunking.oom_fallback_systems, 6u);
-  EXPECT_GT(res.chunking.oom_events, 0u);
-  EXPECT_EQ(res.chunking.chunks, 0u);  // nothing ran on the device
+  solver::GuardedSolver<double> guard(dev, inner);
+  const auto res = guard.solve(batch);
+  ASSERT_TRUE(res.all_solved());
+  EXPECT_EQ(res.fallback_used, 6u);
+  EXPECT_EQ(res.oom_fallback_systems, 6u);
+  EXPECT_GT(res.oom_events, 0u);
+  EXPECT_EQ(res.chunks, 0u);  // nothing ran on the device
   EXPECT_LT(batch_residual(batch), 1e-8);
 }
 
-TEST(ChunkedSolver, AbsorbsInjectedOomViaBisect) {
+TEST(GuardedChunking, AbsorbsInjectedOomViaBisect) {
   faults::FaultConfig cfg;
   cfg.seed = 5;
   cfg.rate_of(faults::Site::DeviceOOM) = 0.4;
@@ -246,13 +243,13 @@ TEST(ChunkedSolver, AbsorbsInjectedOomViaBisect) {
   auto points = tuning::default_switch_points<double>();
   solver::GpuTridiagonalSolver<double> inner(dev, points);
   auto batch = random_batch(24, 64, 42);
-  solver::ChunkedSolver<double> chunked(dev, inner);
-  const auto res = chunked.solve(batch);
-  ASSERT_TRUE(res.guarded.all_solved());
+  solver::GuardedSolver<double> guard(dev, inner);
+  const auto res = guard.solve(batch);
+  ASSERT_TRUE(res.all_solved());
   EXPECT_LT(batch_residual(batch), 1e-8);
 }
 
-TEST(ChunkedSolver, EmitsChunkTelemetry) {
+TEST(GuardedChunking, EmitsChunkTelemetry) {
   faults::ScopedFaultConfig quiet{faults::FaultConfig{}};
   gpusim::Device dev(gpusim::geforce_gtx_470());
   telemetry::Telemetry tel;
@@ -263,13 +260,48 @@ TEST(ChunkedSolver, EmitsChunkTelemetry) {
   const std::size_t m = 16, n = 64;
   dev.set_mem_budget(kernels::DeviceBatch<double>::footprint_bytes(m, n) / 4);
   auto batch = random_batch(m, n, 3);
-  solver::ChunkedSolver<double> chunked(dev, inner);
-  const auto res = chunked.solve(batch);
-  EXPECT_GT(res.chunking.chunks, 1u);
+  solver::GuardedSolver<double> guard(dev, inner);
+  const auto res = guard.solve(batch);
+  EXPECT_GT(res.chunks, 1u);
   EXPECT_DOUBLE_EQ(tel.metrics.counter("solver.chunked_solves"), 1.0);
   EXPECT_DOUBLE_EQ(tel.metrics.counter("solver.chunks"),
-                   static_cast<double>(res.chunking.chunks));
+                   static_cast<double>(res.chunks));
   EXPECT_GT(tel.metrics.gauge("device.mem_high_water"), 0.0);
+}
+
+TEST(GuardedChunking, OneBisectAbsorbsQuarantineAndInjectedOomTogether) {
+  // One batch meets both errors the bisect absorbs: an element-major
+  // Thomas zero pivot from a screen-passing culprit (ContractError) and
+  // seeded injected OOM. Every system must end with a correct answer.
+  faults::FaultConfig cfg;
+  cfg.seed = 11;
+  cfg.rate_of(faults::Site::DeviceOOM) = 0.3;
+  faults::ScopedFaultConfig scoped(cfg);
+
+  gpusim::Device dev(gpusim::geforce_gtx_470());
+  dev.arm_faults();
+  dev.set_mem_budget(0);  // only injected OOM, never genuine
+  solver::SwitchPoints points;
+  points.layout = tridiag::BatchLayout::ElementMajor;
+  solver::GpuTridiagonalSolver<double> inner(dev, points);
+  const std::size_t m = 32, n = 64, culprit = 13;
+  auto batch = random_batch(m, n, 91);
+  // Singular leading 2x2 minor: passes the prescreen, but pivot-free
+  // Thomas meets an exact zero pivot at row 1.
+  batch.c()[culprit * n] = batch.b()[culprit * n];
+  batch.a()[culprit * n + 1] = batch.b()[culprit * n + 1];
+
+  solver::GuardedSolver<double> guard(dev, inner);
+  const auto res = guard.solve(batch);
+  for (std::size_t s = 0; s < m; ++s) {
+    EXPECT_TRUE(res.status[s] == solver::SystemStatus::Ok ||
+                res.status[s] == solver::SystemStatus::FallbackUsed)
+        << "system " << s;
+  }
+  EXPECT_EQ(res.status[culprit], solver::SystemStatus::FallbackUsed);
+  EXPECT_GE(res.quarantined + res.oom_fallback_systems, 1u);
+  EXPECT_GT(res.oom_events, 0u);
+  EXPECT_LT(batch_residual(batch), 1e-8);
 }
 
 // ---------- service: memory admission, watchdog, timeout scopes ----------

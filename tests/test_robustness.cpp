@@ -30,6 +30,16 @@ void poison(tridiag::TridiagBatch<double>& batch, std::size_t s,
       batch.c().subspan(s * n, n), batch.d().subspan(s * n, n), kind);
 }
 
+// Makes system s singular in its leading 2x2 minor (c[0] = b[0],
+// a[1] = b[1]) while keeping it nonsingular, finite and nonzero on the
+// diagonal: it passes the prescreen, but a pivot-free Thomas sweep meets
+// an exact zero pivot at row 1. Only the pivoting fallback solves it.
+void zero_second_pivot(tridiag::TridiagBatch<double>& batch, std::size_t s) {
+  const std::size_t n = batch.system_size();
+  batch.c()[s * n] = batch.b()[s * n];
+  batch.a()[s * n + 1] = batch.b()[s * n + 1];
+}
+
 double system_residual(tridiag::TridiagBatch<double>& pristine,
                        tridiag::TridiagBatch<double>& solved,
                        std::size_t s) {
@@ -126,7 +136,7 @@ TEST(PivotingFallback, ReportsNonFinite) {
 TEST(GuardedSolver, CleanBatchSolvesOnGpu) {
   gpusim::Device dev(gpusim::geforce_gtx_470());
   GpuTridiagonalSolver<double> inner(dev, SwitchPoints{});
-  GuardedSolver<double> guard(inner);
+  GuardedSolver<double> guard(dev, inner);
   auto batch = tridiag::make_diag_dominant<double>(8, 1024, 11);
   auto pristine = batch;
   const auto r = guard.solve(batch);
@@ -140,7 +150,7 @@ TEST(GuardedSolver, CleanBatchSolvesOnGpu) {
 TEST(GuardedSolver, PoisonedSystemsGetTypedStatusAndBatchmatesSolve) {
   gpusim::Device dev(gpusim::geforce_gtx_470());
   GpuTridiagonalSolver<double> inner(dev, SwitchPoints{});
-  GuardedSolver<double> guard(inner);
+  GuardedSolver<double> guard(dev, inner);
   auto batch = tridiag::make_diag_dominant<double>(8, 512, 12);
   poison(batch, 2, faults::Poison::NaN);
   poison(batch, 5, faults::Poison::ZeroPivot);
@@ -161,7 +171,7 @@ TEST(GuardedSolver, PoisonedSystemsGetTypedStatusAndBatchmatesSolve) {
 TEST(GuardedSolver, RecoverablePivotProblemUsesFallback) {
   gpusim::Device dev(gpusim::geforce_gtx_280());
   GpuTridiagonalSolver<double> inner(dev, SwitchPoints{});
-  GuardedSolver<double> guard(inner);
+  GuardedSolver<double> guard(dev, inner);
   auto batch = tridiag::make_diag_dominant<double>(4, 256, 13);
   // System 1: zero leading pivot but solvable with pivoting.
   batch.b()[256] = 0.0;
@@ -178,44 +188,31 @@ TEST(GuardedSolver, RecoverablePivotProblemUsesFallback) {
   }
 }
 
-TEST(GuardedSolver, DominanceFloorRoutesWholeBatchToFallback) {
-  gpusim::Device dev(gpusim::geforce_gtx_470());
-  GpuTridiagonalSolver<double> inner(dev, SwitchPoints{});
-  GuardConfig cfg;
-  cfg.dominance_floor = 10.0;  // above the generator's dominance of 2
-  GuardedSolver<double> guard(inner, cfg);
-  auto batch = tridiag::make_diag_dominant<double>(4, 128, 14);
-  auto pristine = batch;
-
-  const auto r = guard.solve(batch);
-  EXPECT_EQ(r.prescreen_routed, 4u);
-  EXPECT_EQ(r.fallback_used, 4u);
-  EXPECT_EQ(r.gpu_solved, 0u);
-  EXPECT_TRUE(r.all_solved());
-  EXPECT_LT(tridiag::batch_residual_inf(pristine, batch.x()), 1e-10);
-}
-
 TEST(GuardedSolver, BisectQuarantinesCulpritWithoutPrescreen) {
-  // With the screen off, the zero pivot reaches the kernel. thomas_switch
-  // >= n sends the whole system to the Thomas path, whose pivot check
-  // throws ContractError deterministically; the bisect must isolate the
-  // single culprit and every batchmate must still solve.
+  // The culprit passes the screen (finite, nonzero diagonal) but has a
+  // singular leading 2x2 minor, so the element-major Thomas kernel meets
+  // an exact zero pivot and throws ContractError for the whole batch.
+  // The bisect must isolate the single culprit, solve it by pivoting,
+  // and every batchmate must still solve on the GPU.
   gpusim::Device dev(gpusim::geforce_gtx_470());
   SwitchPoints points;
-  points.stage3_system_size = 64;
-  points.thomas_switch = 64;
+  points.layout = tridiag::BatchLayout::ElementMajor;
   GpuTridiagonalSolver<double> inner(dev, points);
-  GuardConfig cfg;
-  cfg.prescreen = false;
-  GuardedSolver<double> guard(inner, cfg);
+  GuardedSolver<double> guard(dev, inner);
 
   auto batch = tridiag::make_diag_dominant<double>(8, 64, 15);
-  poison(batch, 3, faults::Poison::ZeroPivot);
+  zero_second_pivot(batch, 3);
   auto pristine = batch;
+  {
+    auto raw = batch;
+    EXPECT_THROW(inner.solve(raw), ContractError);
+  }
 
   const auto r = guard.solve(batch);
   EXPECT_EQ(r.quarantined, 1u);
-  EXPECT_EQ(r.status[3], SystemStatus::Singular);
+  EXPECT_EQ(r.prescreen_routed, 0u);
+  EXPECT_EQ(r.status[3], SystemStatus::FallbackUsed);
+  EXPECT_LT(system_residual(pristine, batch, 3), 1e-10);
   for (std::size_t s = 0; s < 8; ++s) {
     if (s == 3) continue;
     EXPECT_EQ(r.status[s], SystemStatus::Ok) << "system " << s;
@@ -224,35 +221,56 @@ TEST(GuardedSolver, BisectQuarantinesCulpritWithoutPrescreen) {
 }
 
 TEST(GuardedSolver, ResidualPostcheckEscalatesToFallback) {
-  // An absurdly tight tolerance forces every GPU solution through the
-  // escalation path; the fallback must still deliver correct solutions.
+  // The same screen-passing culprit on the system-major pipeline: with
+  // thomas_switch = n the base kernel is pure PCR, which does not throw
+  // but loses the solution; the residual check must catch it and the
+  // fallback must deliver a correct one.
   gpusim::Device dev(gpusim::geforce_gtx_470());
-  GpuTridiagonalSolver<double> inner(dev, SwitchPoints{});
-  GuardConfig cfg;
-  cfg.residual_tol = 1e-300;
-  GuardedSolver<double> guard(inner, cfg);
-  auto batch = tridiag::make_diag_dominant<double>(4, 256, 16);
+  SwitchPoints points;
+  points.stage3_system_size = 64;
+  points.thomas_switch = 64;
+  GpuTridiagonalSolver<double> inner(dev, points);
+  GuardedSolver<double> guard(dev, inner);
+  auto batch = tridiag::make_diag_dominant<double>(4, 64, 16);
+  zero_second_pivot(batch, 2);
   auto pristine = batch;
 
   const auto r = guard.solve(batch);
-  EXPECT_EQ(r.residual_rejects, 4u);
-  EXPECT_EQ(r.fallback_used, 4u);
+  EXPECT_EQ(r.residual_rejects, 1u);
+  EXPECT_EQ(r.quarantined, 0u);
+  EXPECT_EQ(r.status[2], SystemStatus::FallbackUsed);
+  EXPECT_EQ(r.fallback_used, 1u);
   EXPECT_TRUE(r.all_solved());
-  EXPECT_LT(tridiag::batch_residual_inf(pristine, batch.x()), 1e-10);
+  for (std::size_t s = 0; s < 4; ++s) {
+    EXPECT_LT(system_residual(pristine, batch, s), 1e-10) << "system " << s;
+  }
 }
 
-TEST(GuardedSolver, NoFallbackReportsSingularInsteadOfSolving) {
+TEST(GuardedSolver, ReportsEveryStatsFieldOfTheRawSolve) {
+  // A clean batch runs in place as one GPU solve, so the guarded stats
+  // must be the raw solve's, field by field — including the transpose
+  // and host timings of the element-major path.
   gpusim::Device dev(gpusim::geforce_gtx_470());
-  GpuTridiagonalSolver<double> inner(dev, SwitchPoints{});
-  GuardConfig cfg;
-  cfg.cpu_fallback = false;
-  GuardedSolver<double> guard(inner, cfg);
-  auto batch = tridiag::make_diag_dominant<double>(2, 128, 17);
-  poison(batch, 0, faults::Poison::ZeroPivot);
-
-  const auto r = guard.solve(batch);
-  EXPECT_EQ(r.status[0], SystemStatus::Singular);
-  EXPECT_EQ(r.status[1], SystemStatus::Ok);
+  SwitchPoints points;
+  points.layout = tridiag::BatchLayout::ElementMajor;
+  GpuTridiagonalSolver<double> inner(dev, points);
+  auto raw_batch = tridiag::make_diag_dominant<double>(512, 64, 21);
+  auto guarded_batch = raw_batch;
+  const SolveStats raw = inner.solve(raw_batch);
+  GuardedSolver<double> guard(dev, inner);
+  const auto r = guard.solve(guarded_batch);
+  ASSERT_TRUE(r.all_ok());
+  EXPECT_EQ(r.chunks, 1u);
+  EXPECT_EQ(r.stats.plan.layout, tridiag::BatchLayout::ElementMajor);
+  EXPECT_EQ(r.stats.total_ms, raw.total_ms);
+  EXPECT_EQ(r.stats.stage1_ms, raw.stage1_ms);
+  EXPECT_EQ(r.stats.stage2_ms, raw.stage2_ms);
+  EXPECT_EQ(r.stats.stage3_ms, raw.stage3_ms);
+  EXPECT_GT(raw.transpose_ms, 0.0);
+  EXPECT_EQ(r.stats.transpose_ms, raw.transpose_ms);
+  EXPECT_EQ(r.stats.kernel_launches, raw.kernel_launches);
+  EXPECT_GT(r.stats.host_total_ms, 0.0);
+  EXPECT_GT(r.stats.host_transpose_ms, 0.0);
 }
 
 // ---------- ill-conditioned inputs through every solver stage ----------
@@ -288,7 +306,7 @@ TEST(IllConditioned, TypedStatusAcrossAllStages) {
     SCOPED_TRACE(tc.name);
     gpusim::Device dev(gpusim::geforce_gtx_470());
     GpuTridiagonalSolver<double> inner(dev, tc.points);
-    GuardedSolver<double> guard(inner);
+    GuardedSolver<double> guard(dev, inner);
     auto batch = tridiag::make_diag_dominant<double>(tc.m, tc.n, 18);
     poison(batch, 0, faults::Poison::NaN);
     poison(batch, tc.m - 1, faults::Poison::ZeroPivot);
@@ -323,7 +341,7 @@ TEST(IllConditioned, NonDominantSolvableSystemPassesPostcheck) {
   // correct.
   gpusim::Device dev(gpusim::geforce_gtx_470());
   GpuTridiagonalSolver<double> inner(dev, SwitchPoints{});
-  GuardedSolver<double> guard(inner);
+  GuardedSolver<double> guard(dev, inner);
   auto batch = tridiag::make_random_general<double>(4, 512, 20);
   auto pristine = batch;
   const auto r = guard.solve(batch);
