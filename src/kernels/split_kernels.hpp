@@ -18,6 +18,7 @@
 //    subsystems, and accesses inherit the subsystem stride at entry.
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 
 #include "common/check.hpp"
@@ -103,8 +104,21 @@ gpusim::KernelStats stage1_split_step(gpusim::Device& dev,
   return stats;
 }
 
+/// Subsystems one Stage-2 host tile sweeps together (see stage2_split).
+inline constexpr std::size_t kStage2TileParts = 64;
+
 /// Stage 2: every current subsystem gets its own block, which performs
 /// `steps` further splits in a single launch. Advances `st` by `steps`.
+///
+/// Host traversal: local row i of subsystem p is global row p + i*P
+/// (P = entry parts) and a local shift 2^t is the global shift 2^t*P with
+/// the same boundary conditions, so Q = min(P, kStage2TileParts) adjacent
+/// subsystems form a tile whose rows are Q contiguous elements. The
+/// tile's first block runs every step of the whole tile as unit-stride
+/// pcr_step_range sweeps (one sweep over the system when Q = P). Tiles
+/// are aligned and disjoint, so they never race, and every output bit
+/// equals the per-subsystem pcr_step walk. Each block still charges
+/// exactly its own subsystem, so simulated cost is unchanged.
 template <typename T>
 gpusim::KernelStats stage2_split(gpusim::Device& dev, DeviceBatch<T>& batch,
                                  SplitState& st, std::size_t steps,
@@ -114,6 +128,7 @@ gpusim::KernelStats stage2_split(gpusim::Device& dev, DeviceBatch<T>& batch,
   const std::size_t n = batch.system_size();
   const std::size_t entry_parts = st.parts();
   const std::size_t entry_stride = entry_parts;
+  const std::size_t tile = std::min(entry_parts, kStage2TileParts);
   TDA_REQUIRE((entry_parts << steps) <= n,
               "stage 2 would split below one equation per subsystem");
 
@@ -126,28 +141,36 @@ gpusim::KernelStats stage2_split(gpusim::Device& dev, DeviceBatch<T>& batch,
   auto stats = dev.launch(cfg, [&](gpusim::BlockContext& ctx) {
     const std::size_t s = ctx.block_index() / entry_parts;
     const std::size_t p = ctx.block_index() % entry_parts;
-    // Ping-pong locally: the block's subsystem is disjoint from every
-    // other block's, so flipping buffers per step is hazard-free.
-    tridiag::SystemView<T> views[2] = {
-        batch.cur_system(s).subsystem(st.splits, p),
-        batch.alt_system(s).subsystem(st.splits, p)};
-    int cur = 0;
-    const std::size_t len = views[0].size();
-    for (std::size_t t = 0; t < steps; ++t) {
-      const std::size_t shift = std::size_t{1} << t;  // subsystem-local
-      if (mode == ExecMode::Full) {
-        tridiag::pcr_step(
-            tridiag::SystemView<const T>{
-                views[cur].a.as_const(), views[cur].b.as_const(),
-                views[cur].c.as_const(), views[cur].d.as_const()},
-            views[1 - cur], shift);
+    if (mode == ExecMode::Full && p % tile == 0) {
+      // Ping-pong locally: the tile is disjoint from every other tile,
+      // so flipping buffers per step is hazard-free.
+      tridiag::SystemView<T> views[2] = {batch.cur_system(s),
+                                         batch.alt_system(s)};
+      int cur = 0;
+      for (std::size_t t = 0; t < steps; ++t) {
+        const std::size_t shift = entry_parts << t;  // global index space
+        const tridiag::SystemView<const T> src{
+            views[cur].a.as_const(), views[cur].b.as_const(),
+            views[cur].c.as_const(), views[cur].d.as_const()};
+        if (tile == entry_parts) {  // the tile is the whole system
+          tridiag::pcr_step_range(src, views[1 - cur], shift, 0, n);
+        } else {
+          for (std::size_t row = p; row < n; row += entry_parts) {
+            tridiag::pcr_step_range(src, views[1 - cur], shift, row,
+                                    std::min(n, row + tile));
+          }
+        }
+        cur = 1 - cur;
       }
-      cur = 1 - cur;
+    }
 
-      const double dlen = static_cast<double>(len);
-      ctx.charge_global(kPcrStepValuesPerEq * dlen * sizeof(T),
+    // Length of this block's subsystem p (rows p, p+P, ... below n).
+    const double len =
+        static_cast<double>((n - p + entry_parts - 1) / entry_parts);
+    for (std::size_t t = 0; t < steps; ++t) {
+      ctx.charge_global(kPcrStepValuesPerEq * len * sizeof(T),
                         entry_stride, sizeof(T));
-      ctx.charge_phase(ctx.threads(), std::ceil(dlen / ctx.threads()),
+      ctx.charge_phase(ctx.threads(), std::ceil(len / ctx.threads()),
                        kPcrStepWarpInsts);
       if (t + 1 < steps) ctx.sync();
     }

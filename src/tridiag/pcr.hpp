@@ -9,10 +9,11 @@
 // with shifts 1, 2, 4, ... ⌈log2 n⌉ times decouples every unknown:
 // x[i] = d[i] / b[i].
 //
-// All functions operate on SystemView (strided), so the same code serves
-// the CPU reference, the global-memory splitting kernels and the
-// shared-memory stage.
+// pcr_step operates on SystemView (strided), so the same code serves the
+// CPU reference and the shared-memory stage; pcr_step_range is the
+// unit-stride sweep behind the global-memory splitting kernels.
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -65,10 +66,47 @@ void pcr_step(const SystemView<const T>& src, const SystemView<T>& dst,
   }
 }
 
-/// PCR step restricted to equations [begin, end) of the view — the work a
-/// single cooperating block contributes to a grid-wide split (Stage 1).
-/// Neighbour reads may fall outside [begin, end); they read `src`, which
-/// holds pre-step values, so chunked execution equals a full pcr_step.
+namespace detail {
+
+/// Rows [i0, i1) of a unit-stride PCR step whose neighbours i±shift all
+/// exist: branch-free, in pcr_step's exact operation order. The lanes are
+/// restrict-qualified parameters (src and dst never alias), which is what
+/// lets the compiler vectorize the loop without run-time alias checks.
+template <typename T>
+void pcr_interior_rows(const T* __restrict a, const T* __restrict b,
+                       const T* __restrict c, const T* __restrict d,
+                       T* __restrict oa, T* __restrict ob, T* __restrict oc,
+                       T* __restrict od, std::size_t shift, std::size_t i0,
+                       std::size_t i1) {
+  for (std::size_t i = i0; i < i1; ++i) {
+    const std::size_t im = i - shift;
+    const std::size_t ip = i + shift;
+    const T alpha = -a[i] / b[im];
+    const T gamma = -c[i] / b[ip];
+    T nb = b[i];
+    nb += alpha * c[im];
+    nb += gamma * a[ip];
+    T nd = d[i];
+    nd += alpha * d[im];
+    nd += gamma * d[ip];
+    oa[i] = alpha * a[im];
+    ob[i] = nb;
+    oc[i] = gamma * c[ip];
+    od[i] = nd;
+  }
+}
+
+}  // namespace detail
+
+/// PCR step restricted to equations [begin, end) of a unit-stride view —
+/// the work a single cooperating block contributes to a grid-wide split
+/// (Stage 1), and one row of a Stage-2 tile. Neighbour reads may fall
+/// outside [begin, end); they read `src`, which holds pre-step values, so
+/// chunked execution equals a full pcr_step bit for bit.
+///
+/// One sweep over raw lane pointers: rows in the boundary bands (i < shift,
+/// i >= n - shift) take pcr_step's branches, interior rows run branch-free
+/// (detail::pcr_interior_rows), so every output bit equals pcr_step's.
 template <typename T>
 void pcr_step_range(const SystemView<const T>& src, const SystemView<T>& dst,
                     std::size_t shift, std::size_t begin, std::size_t end) {
@@ -76,35 +114,44 @@ void pcr_step_range(const SystemView<const T>& src, const SystemView<T>& dst,
   TDA_REQUIRE(dst.size() == n, "pcr_step_range: size mismatch");
   TDA_REQUIRE(begin <= end && end <= n, "pcr_step_range: bad range");
   TDA_REQUIRE(shift >= 1, "pcr_step_range: shift must be >= 1");
-  const auto s = static_cast<std::ptrdiff_t>(shift);
-  const auto nn = static_cast<std::ptrdiff_t>(n);
+  TDA_REQUIRE(src.stride() == 1 && dst.stride() == 1,
+              "pcr_step_range: views must be unit-stride");
+  const T* a = src.a.data();
+  const T* b = src.b.data();
+  const T* c = src.c.data();
+  const T* d = src.d.data();
 
-  for (std::size_t ui = begin; ui < end; ++ui) {
-    const auto i = static_cast<std::ptrdiff_t>(ui);
-    const std::ptrdiff_t im = i - s;
-    const std::ptrdiff_t ip = i + s;
-    T nb = src.b[ui];
+  const auto boundary_row = [&](std::size_t i) {
+    T nb = b[i];
     T na{0}, nc{0};
-    T nd = src.d[ui];
-    if (im >= 0) {
-      const auto uim = static_cast<std::size_t>(im);
-      const T alpha = -src.a[ui] / src.b[uim];
-      nb += alpha * src.c[uim];
-      na = alpha * src.a[uim];
-      nd += alpha * src.d[uim];
+    T nd = d[i];
+    if (i >= shift) {
+      const std::size_t im = i - shift;
+      const T alpha = -a[i] / b[im];
+      nb += alpha * c[im];
+      na = alpha * a[im];
+      nd += alpha * d[im];
     }
-    if (ip < nn) {
-      const auto uip = static_cast<std::size_t>(ip);
-      const T gamma = -src.c[ui] / src.b[uip];
-      nb += gamma * src.a[uip];
-      nc = gamma * src.c[uip];
-      nd += gamma * src.d[uip];
+    if (i + shift < n) {
+      const std::size_t ip = i + shift;
+      const T gamma = -c[i] / b[ip];
+      nb += gamma * a[ip];
+      nc = gamma * c[ip];
+      nd += gamma * d[ip];
     }
-    dst.a[ui] = na;
-    dst.b[ui] = nb;
-    dst.c[ui] = nc;
-    dst.d[ui] = nd;
-  }
+    dst.a.data()[i] = na;
+    dst.b.data()[i] = nb;
+    dst.c.data()[i] = nc;
+    dst.d.data()[i] = nd;
+  };
+
+  // Interior rows [i0, i1) have both neighbours.
+  const std::size_t i0 = std::clamp(shift, begin, end);
+  const std::size_t i1 = std::clamp(n - std::min(shift, n), i0, end);
+  for (std::size_t i = begin; i < i0; ++i) boundary_row(i);
+  detail::pcr_interior_rows(a, b, c, d, dst.a.data(), dst.b.data(),
+                            dst.c.data(), dst.d.data(), shift, i0, i1);
+  for (std::size_t i = i1; i < end; ++i) boundary_row(i);
 }
 
 /// Number of PCR steps with doubling shifts needed to fully decouple a

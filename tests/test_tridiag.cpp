@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <tuple>
 #include <vector>
 
@@ -304,22 +307,55 @@ TEST(Pcr, FullSolveMatchesDense) {
   }
 }
 
-TEST(Pcr, RangeStepEqualsFullStep) {
-  const std::size_t n = 17;
-  auto batch = make_diag_dominant<double>(1, n, 31);
-  auto sys = batch.system(0);
-  Scratch<double> s1(n), s2(n);
-  pcr_step(const_view(sys), s1.view(), 2);
-  // Chunked: three ranges.
-  auto dst2 = s2.view();
-  pcr_step_range(const_view(sys), dst2, 2, 0, 5);
-  pcr_step_range(const_view(sys), dst2, 2, 5, 12);
-  pcr_step_range(const_view(sys), dst2, 2, 12, 17);
-  auto v1 = s1.view();
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_DOUBLE_EQ(v1.b[i], dst2.b[i]);
-    EXPECT_DOUBLE_EQ(v1.d[i], dst2.d[i]);
+// Chunked pcr_step_range must reproduce pcr_step bit for bit on all four
+// outputs: across systems no longer than the shift, and with chunk edges
+// inside the head (i < shift) and tail (i >= n - shift) boundary bands.
+template <typename T>
+void expect_range_steps_match_full_step() {
+  for (std::size_t n : {1u, 2u, 3u, 8u, 17u, 40u, 100u}) {
+    for (std::size_t shift : {1u, 2u, 3u, 8u, 16u}) {
+      auto batch = make_diag_dominant<T>(1, n, 31 + n);
+      const auto src = const_view(batch.system(0));
+      Scratch<T> full(n), chunked(n);
+      // NaN-fill so a row the chunks never write cannot compare equal.
+      std::fill(chunked.buf.data(), chunked.buf.data() + 4 * n,
+                std::numeric_limits<T>::quiet_NaN());
+      pcr_step(src, full.view(), shift);
+
+      const auto sn = static_cast<std::ptrdiff_t>(n);
+      const auto ss = static_cast<std::ptrdiff_t>(shift);
+      std::vector<std::ptrdiff_t> cuts{0, sn};
+      for (std::ptrdiff_t e : {ss / 2, ss - 1, ss, ss + 1, sn - ss - 1,
+                               sn - ss, sn - ss + 1, sn - 1}) {
+        if (e > 0 && e < sn) cuts.push_back(e);
+      }
+      std::sort(cuts.begin(), cuts.end());
+      cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+      auto dst = chunked.view();
+      for (std::size_t k = 0; k + 1 < cuts.size(); ++k) {
+        pcr_step_range(src, dst, shift, static_cast<std::size_t>(cuts[k]),
+                       static_cast<std::size_t>(cuts[k + 1]));
+      }
+      EXPECT_EQ(std::memcmp(full.buf.data(), chunked.buf.data(),
+                            4 * n * sizeof(T)),
+                0)
+          << "sizeof(T)=" << sizeof(T) << " n=" << n << " shift=" << shift;
+    }
   }
+}
+
+TEST(Pcr, RangeStepEqualsFullStep) {
+  expect_range_steps_match_full_step<float>();
+  expect_range_steps_match_full_step<double>();
+}
+
+TEST(Pcr, RangeStepRequiresUnitStride) {
+  auto batch = make_diag_dominant<double>(1, 16, 32);
+  auto sub = batch.system(0).subsystem(1, 0);  // stride 2
+  Scratch<double> out(16);
+  auto dst = out.view().subsystem(1, 0);
+  EXPECT_THROW(pcr_step_range(const_view(sub), dst, 1, 0, sub.size()),
+               ContractError);
 }
 
 // ---------- CR ----------
