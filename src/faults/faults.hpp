@@ -16,8 +16,8 @@
 //   * WorkerStall / WorkerCrash — a service worker sleeps mid-job or dies
 //     outright (WorkerCrashFault escapes its loop; the service restarts
 //     the worker);
-//   * CacheCorrupt — tuning-cache bytes are flipped between disk and the
-//     parser (exercises the cache's header/checksum rejection);
+//   * CacheCorrupt — durable-file bytes (tuning cache, ops snapshot) are
+//     flipped between disk and parser (exercises checksum rejection);
 //   * PoisonNaN / PoisonZeroPivot — a submitted system is contaminated
 //     before solving (exercises the numerical guards and quarantine);
 //   * NetDrop / NetCorrupt — the wire front door (src/net/) loses a
@@ -49,7 +49,7 @@ enum class Site : int {
   DeviceOOM,         ///< device memory reservation fails (gpusim::OutOfMemory)
   WorkerStall,       ///< worker sleeps stall_ms mid-job
   WorkerCrash,       ///< worker thread dies (WorkerCrashFault)
-  CacheCorrupt,      ///< tuning-cache bytes flipped before parsing
+  CacheCorrupt,      ///< durable-file bytes flipped before parsing
   PoisonNaN,         ///< system contaminated with NaN coefficients
   PoisonZeroPivot,   ///< system given an exactly singular leading pivot
   NetDrop,           ///< front-door connection dropped mid-stream

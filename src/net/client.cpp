@@ -175,37 +175,17 @@ bool Client::next_frame(FrameType& type, std::uint64_t& request_id,
     if (err != nullptr) *err = "not connected";
     return false;
   }
-  char tmp[16384];
-  for (;;) {
-    const DecodeResult r = decode_frame(rbuf_, kAbsoluteMaxPayload);
-    if (r.status == DecodeStatus::Ok) {
-      type = r.frame.type;
-      request_id = r.frame.request_id;
-      payload.assign(r.frame.payload);
-      rbuf_.erase(0, r.consumed);
-      return true;
-    }
-    if (r.status == DecodeStatus::Corrupt) {
-      if (err != nullptr) {
-        *err = std::string("corrupt frame from server: ") + r.error;
-      }
-      close_fd();
-      return false;
-    }
-    const long n = read_some(fd_.get(), tmp, sizeof(tmp));
-    if (n == 0) {
-      if (err != nullptr) *err = "connection closed by server";
-      close_fd();
-      return false;
-    }
-    if (n < 0 && n != -2) {
-      if (err != nullptr) *err = "read failed (connection lost)";
-      close_fd();
-      return false;
-    }
-    if (n > 0) rbuf_.append(tmp, static_cast<std::size_t>(n));
-    // n == -2 (EAGAIN) cannot happen on a blocking socket; loop anyway.
+  const DecodeResult r = read_frame(fd_.get(), rbuf_, kAbsoluteMaxPayload);
+  if (r.status != DecodeStatus::Ok) {
+    if (err != nullptr) *err = std::string("from server: ") + r.error;
+    close_fd();
+    return false;
   }
+  type = r.frame.type;
+  request_id = r.frame.request_id;
+  payload.assign(r.frame.payload);
+  rbuf_.erase(0, r.consumed);
+  return true;
 }
 
 }  // namespace tda::net

@@ -787,7 +787,8 @@ class FrontDoor {
       // snapshot): a resend must be byte-identical to its original, so
       // a reused key with a different payload is a client bug answered
       // with KeyReuse, never a silent wrong replay.
-      const std::uint64_t payload_hash = fnv1a64(frame.payload);
+      const std::uint64_t payload_hash =
+          fnv1a64(frame.payload, kFnv1a64LegacyBasis);
       const State state =
           dedup_.begin(tid, solve->idem_key, payload_hash, mono_ms());
       if (state == State::Mismatch) {
@@ -897,7 +898,9 @@ class FrontDoor {
       case FrameType::HelloOk:
       case FrameType::SolveOk:
       case FrameType::SolveErr:
-        bad_frame(conn, "server-only frame from client");
+      case FrameType::AdminRequest:  // admin frames: admin socket only
+      case FrameType::AdminReply:
+        bad_frame(conn, "not a client frame on the data socket");
         return;
     }
     bad_frame(conn, "unknown frame type");

@@ -96,9 +96,45 @@ void append_frame(std::string& out, FrameType type,
   out.append(payload);
 }
 
+/// Hello and HelloOk share one payload shape: u16 name length, u16
+/// version, the name, then an optional f64 wall-clock timestamp.
+void append_handshake(std::string& out, FrameType type,
+                      std::string_view name, std::uint16_t version,
+                      double unix_ms) {
+  std::string payload;
+  put_u16(payload, static_cast<std::uint16_t>(name.size()));
+  put_u16(payload, version);
+  payload.append(name);
+  if (unix_ms != 0.0) put_f64(payload, unix_ms);
+  append_frame(out, type, 0, payload);
+}
+
+/// Solve payload of either version: v2 adds the idempotency key after
+/// the deadline (relative in v1, absolute in v2).
+template <typename T>
+void append_solve(std::string& out, std::uint16_t version,
+                  std::uint64_t request_id, const std::vector<T>& a,
+                  const std::vector<T>& b, const std::vector<T>& c,
+                  const std::vector<T>& d, double deadline,
+                  std::uint64_t idem_key) {
+  std::string payload;
+  payload.reserve(24 + 4 * b.size() * sizeof(T));
+  payload.push_back(static_cast<char>(sizeof(T)));
+  payload.push_back(0);
+  put_u16(payload, 0);
+  put_u32(payload, static_cast<std::uint32_t>(b.size()));
+  put_f64(payload, deadline);
+  if (version >= kVersion2) put_u64(payload, idem_key);
+  put_values(payload, a);
+  put_values(payload, b);
+  put_values(payload, c);
+  put_values(payload, d);
+  append_frame(out, FrameType::Solve, request_id, payload, version);
+}
+
 bool known_type(std::uint16_t t) {
   return t >= static_cast<std::uint16_t>(FrameType::Hello) &&
-         t <= static_cast<std::uint16_t>(FrameType::Goodbye);
+         t <= static_cast<std::uint16_t>(FrameType::AdminReply);
 }
 
 }  // namespace
@@ -111,6 +147,8 @@ const char* to_string(FrameType t) {
     case FrameType::SolveOk: return "solve_ok";
     case FrameType::SolveErr: return "solve_err";
     case FrameType::Goodbye: return "goodbye";
+    case FrameType::AdminRequest: return "admin_request";
+    case FrameType::AdminReply: return "admin_reply";
   }
   return "?";
 }
@@ -143,23 +181,6 @@ const char* to_string(ErrorCode c) {
 double unix_now_ms() {
   const auto now = std::chrono::system_clock::now().time_since_epoch();
   return std::chrono::duration<double, std::milli>(now).count();
-}
-
-std::uint32_t fnv1a32(std::string_view bytes, std::uint32_t state) {
-  for (const char c : bytes) {
-    state ^= static_cast<std::uint8_t>(c);
-    state *= 0x01000193u;
-  }
-  return state;
-}
-
-std::uint64_t fnv1a64(std::string_view bytes) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char c : bytes) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
 }
 
 DecodeResult decode_frame(std::string_view buf, std::size_t max_payload) {
@@ -226,23 +247,15 @@ DecodeResult decode_frame(std::string_view buf, std::size_t max_payload) {
 void encode_hello(std::string& out, std::string_view token,
                   std::uint16_t advertised_version,
                   double client_unix_ms) {
-  std::string payload;
-  put_u16(payload, static_cast<std::uint16_t>(token.size()));
-  put_u16(payload, advertised_version);
-  payload.append(token);
-  if (client_unix_ms != 0.0) put_f64(payload, client_unix_ms);
-  append_frame(out, FrameType::Hello, 0, payload);
+  append_handshake(out, FrameType::Hello, token, advertised_version,
+                   client_unix_ms);
 }
 
 void encode_hello_ok(std::string& out, std::string_view tenant,
                      std::uint16_t negotiated_version,
                      double server_unix_ms) {
-  std::string payload;
-  put_u16(payload, static_cast<std::uint16_t>(tenant.size()));
-  put_u16(payload, negotiated_version);
-  payload.append(tenant);
-  if (server_unix_ms != 0.0) put_f64(payload, server_unix_ms);
-  append_frame(out, FrameType::HelloOk, 0, payload);
+  append_handshake(out, FrameType::HelloOk, tenant, negotiated_version,
+                   server_unix_ms);
 }
 
 void encode_goodbye(std::string& out) {
@@ -260,23 +273,21 @@ void encode_solve_err(std::string& out, std::uint64_t request_id,
   append_frame(out, FrameType::SolveErr, request_id, payload, wire_version);
 }
 
+void encode_command(std::string& out, FrameType type, std::uint16_t code,
+                    std::string_view text) {
+  std::string payload;
+  payload.reserve(2 + text.size());
+  put_u16(payload, code);
+  payload.append(text);
+  append_frame(out, type, 0, payload);
+}
+
 template <typename T>
 void encode_solve(std::string& out, std::uint64_t request_id,
                   const std::vector<T>& a, const std::vector<T>& b,
                   const std::vector<T>& c, const std::vector<T>& d,
                   double deadline_ms) {
-  std::string payload;
-  payload.reserve(16 + 4 * b.size() * sizeof(T));
-  payload.push_back(static_cast<char>(sizeof(T)));
-  payload.push_back(0);
-  put_u16(payload, 0);
-  put_u32(payload, static_cast<std::uint32_t>(b.size()));
-  put_f64(payload, deadline_ms);
-  put_values(payload, a);
-  put_values(payload, b);
-  put_values(payload, c);
-  put_values(payload, d);
-  append_frame(out, FrameType::Solve, request_id, payload);
+  append_solve(out, kVersion, request_id, a, b, c, d, deadline_ms, 0);
 }
 
 template <typename T>
@@ -284,19 +295,8 @@ void encode_solve_v2(std::string& out, std::uint64_t request_id,
                      const std::vector<T>& a, const std::vector<T>& b,
                      const std::vector<T>& c, const std::vector<T>& d,
                      double deadline_unix_ms, std::uint64_t idem_key) {
-  std::string payload;
-  payload.reserve(24 + 4 * b.size() * sizeof(T));
-  payload.push_back(static_cast<char>(sizeof(T)));
-  payload.push_back(0);
-  put_u16(payload, 0);
-  put_u32(payload, static_cast<std::uint32_t>(b.size()));
-  put_f64(payload, deadline_unix_ms);
-  put_u64(payload, idem_key);
-  put_values(payload, a);
-  put_values(payload, b);
-  put_values(payload, c);
-  put_values(payload, d);
-  append_frame(out, FrameType::Solve, request_id, payload, kVersion2);
+  append_solve(out, kVersion2, request_id, a, b, c, d, deadline_unix_ms,
+               idem_key);
 }
 
 template <typename T>
@@ -335,18 +335,10 @@ std::optional<HelloFrame> parse_hello(std::string_view payload) {
 }
 
 std::optional<HelloOkFrame> parse_hello_ok(std::string_view payload) {
-  if (payload.size() < 4) return std::nullopt;
-  const std::size_t len = get_u16(payload, 0);
-  if (payload.size() != 4 + len && payload.size() != 4 + len + 8)
-    return std::nullopt;
-  HelloOkFrame f;
-  f.negotiated_version = get_u16(payload, 2);
-  f.tenant.assign(payload.substr(4, len));
-  if (payload.size() == 4 + len + 8) {
-    f.server_unix_ms = get_f64(payload, 4 + len);
-    f.has_timestamp = true;
-  }
-  return f;
+  auto h = parse_hello(payload);  // the same payload shape
+  if (!h) return std::nullopt;
+  return HelloOkFrame{std::move(h->token), h->advertised_version,
+                      h->client_unix_ms, h->has_timestamp};
 }
 
 std::optional<SolveErrFrame> parse_solve_err(std::string_view payload) {
@@ -356,6 +348,14 @@ std::optional<SolveErrFrame> parse_solve_err(std::string_view payload) {
   SolveErrFrame f;
   f.code = static_cast<ErrorCode>(get_u16(payload, 0));
   f.message.assign(payload.substr(8, len));
+  return f;
+}
+
+std::optional<CommandFrame> parse_command(std::string_view payload) {
+  if (payload.size() < 2) return std::nullopt;
+  CommandFrame f;
+  f.code = get_u16(payload, 0);
+  f.text.assign(payload.substr(2));
   return f;
 }
 
@@ -416,43 +416,24 @@ std::optional<SolveOkFrame<T>> parse_solve_ok(std::string_view payload) {
   return f;
 }
 
-template void encode_solve<float>(std::string&, std::uint64_t,
-                                  const std::vector<float>&,
-                                  const std::vector<float>&,
-                                  const std::vector<float>&,
-                                  const std::vector<float>&, double);
-template void encode_solve<double>(std::string&, std::uint64_t,
-                                   const std::vector<double>&,
-                                   const std::vector<double>&,
-                                   const std::vector<double>&,
-                                   const std::vector<double>&, double);
-template void encode_solve_v2<float>(std::string&, std::uint64_t,
-                                     const std::vector<float>&,
-                                     const std::vector<float>&,
-                                     const std::vector<float>&,
-                                     const std::vector<float>&, double,
-                                     std::uint64_t);
-template void encode_solve_v2<double>(std::string&, std::uint64_t,
-                                      const std::vector<double>&,
-                                      const std::vector<double>&,
-                                      const std::vector<double>&,
-                                      const std::vector<double>&, double,
-                                      std::uint64_t);
-template void encode_solve_ok<float>(std::string&, std::uint64_t,
-                                     const std::vector<float>&,
-                                     std::uint64_t, double, double, bool,
-                                     std::uint16_t);
-template void encode_solve_ok<double>(std::string&, std::uint64_t,
-                                      const std::vector<double>&,
-                                      std::uint64_t, double, double, bool,
-                                      std::uint16_t);
-template std::optional<SolveFrame<float>> parse_solve<float>(
-    std::string_view, std::uint16_t);
-template std::optional<SolveFrame<double>> parse_solve<double>(
-    std::string_view, std::uint16_t);
-template std::optional<SolveOkFrame<float>> parse_solve_ok<float>(
-    std::string_view);
-template std::optional<SolveOkFrame<double>> parse_solve_ok<double>(
-    std::string_view);
+// One explicit instantiation per dtype the wire carries.
+#define TDA_NET_INSTANTIATE(T)                                              \
+  template void encode_solve<T>(                                            \
+      std::string&, std::uint64_t, const std::vector<T>&,                   \
+      const std::vector<T>&, const std::vector<T>&, const std::vector<T>&,  \
+      double);                                                              \
+  template void encode_solve_v2<T>(                                         \
+      std::string&, std::uint64_t, const std::vector<T>&,                   \
+      const std::vector<T>&, const std::vector<T>&, const std::vector<T>&,  \
+      double, std::uint64_t);                                               \
+  template void encode_solve_ok<T>(std::string&, std::uint64_t,             \
+                                   const std::vector<T>&, std::uint64_t,    \
+                                   double, double, bool, std::uint16_t);    \
+  template std::optional<SolveFrame<T>> parse_solve<T>(std::string_view,    \
+                                                       std::uint16_t);      \
+  template std::optional<SolveOkFrame<T>> parse_solve_ok<T>(std::string_view);
+TDA_NET_INSTANTIATE(float)
+TDA_NET_INSTANTIATE(double)
+#undef TDA_NET_INSTANTIATE
 
 }  // namespace tda::net

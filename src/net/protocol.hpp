@@ -25,11 +25,12 @@
 // idempotency key (0 = none) that lets the server deduplicate
 // reconnect-and-resend retries instead of re-executing them.
 //
-// The checksum makes corruption detectable rather than merely unlikely
-// to parse: every FNV-1a step s' = (s ^ byte) * prime is a bijection of
-// the 32-bit state, so any single flipped byte in the covered range
-// always lands on a different checksum — the fuzz harness leans on that
-// to assert "no mutated frame is ever accepted".
+// The FNV-1a checksum (common/checksum.hpp) changes on any single
+// flipped byte, which the fuzz harness leans on to assert "no mutated
+// frame is ever accepted".
+//
+// The ops admin socket speaks this codec too, with AdminRequest and
+// AdminReply frames that the data socket rejects as BadFrame.
 //
 // decode_frame is strictly bounds-checked and allocation-free: it
 // either needs more bytes, yields a view into the caller's buffer, or
@@ -47,6 +48,8 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "common/checksum.hpp"
 
 namespace tda::net {
 
@@ -69,6 +72,8 @@ enum class FrameType : std::uint16_t {
   SolveOk = 4,  ///< server -> client: solution
   SolveErr = 5, ///< server -> client: typed rejection / failure
   Goodbye = 6,  ///< either way: orderly close (empty payload)
+  AdminRequest = 7,  ///< admin socket only: one ops command
+  AdminReply = 8,    ///< admin socket only: the command's Ok/Err reply
 };
 
 /// Typed error codes carried by SolveErr frames.
@@ -110,17 +115,6 @@ double unix_now_ms();
 
 const char* to_string(FrameType t);
 const char* to_string(ErrorCode c);
-
-/// FNV-1a-32 over `bytes` continuing from `state` (pass the offset
-/// basis for a fresh hash). Exposed for tests.
-std::uint32_t fnv1a32(std::string_view bytes,
-                      std::uint32_t state = 0x811C9DC5u);
-
-/// FNV-1a-64 of `bytes` — the payload fingerprint stored per
-/// idempotency key, so a key reused for a *different* system is
-/// rejected (ErrorCode::KeyReuse) instead of silently replayed, and the
-/// fingerprint survives a restart inside the ops snapshot.
-std::uint64_t fnv1a64(std::string_view bytes);
 
 /// One decoded frame: a non-owning view into the receive buffer.
 struct FrameView {
@@ -209,6 +203,13 @@ struct SolveErrFrame {
   std::string message;
 };
 
+/// AdminRequest / AdminReply payload: u16 code (the ops::AdminCmd of a
+/// request, Ok/Err on a reply), then key=value text to the end.
+struct CommandFrame {
+  std::uint16_t code = 0;
+  std::string text;
+};
+
 // --- encoders (append a complete frame to `out`) ------------------------
 
 /// `client_unix_ms` != 0 appends the optional timestamp (see
@@ -224,6 +225,9 @@ void encode_goodbye(std::string& out);
 void encode_solve_err(std::string& out, std::uint64_t request_id,
                       ErrorCode code, std::string_view message,
                       std::uint16_t wire_version = kVersion);
+/// `type` is AdminRequest or AdminReply.
+void encode_command(std::string& out, FrameType type, std::uint16_t code,
+                    std::string_view text);
 
 template <typename T>
 void encode_solve(std::string& out, std::uint64_t request_id,
@@ -250,6 +254,7 @@ void encode_solve_ok(std::string& out, std::uint64_t request_id,
 std::optional<HelloFrame> parse_hello(std::string_view payload);
 std::optional<HelloOkFrame> parse_hello_ok(std::string_view payload);
 std::optional<SolveErrFrame> parse_solve_err(std::string_view payload);
+std::optional<CommandFrame> parse_command(std::string_view payload);
 
 /// Peeks the dtype width of a Solve payload (0 when too short).
 std::uint8_t solve_dtype(std::string_view payload);

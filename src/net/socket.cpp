@@ -5,11 +5,13 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 
@@ -203,6 +205,31 @@ bool write_all(int fd, const char* buf, std::size_t len) {
     done += static_cast<std::size_t>(n);
   }
   return true;
+}
+
+DecodeResult read_frame(int fd, std::string& buf, std::size_t max_payload,
+                        int timeout_ms) {
+  using Clock = std::chrono::steady_clock;
+  const auto deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
+  char tmp[16384];
+  for (;;) {
+    DecodeResult r = decode_frame(buf, max_payload);
+    if (r.status != DecodeStatus::NeedMore) return r;
+    if (timeout_ms >= 0) {
+      const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+                            deadline - Clock::now()).count();
+      struct pollfd pfd = {fd, POLLIN, 0};
+      if (left <= 0 || ::poll(&pfd, 1, static_cast<int>(left)) <= 0) return r;
+    }
+    const long n = read_some(fd, tmp, sizeof(tmp));
+    if (n == -2) continue;  // spurious wakeup on a nonblocking fd
+    if (n <= 0) {
+      r.status = DecodeStatus::Corrupt;
+      r.error = n == 0 ? "connection closed" : "read failed";
+      return r;
+    }
+    buf.append(tmp, static_cast<std::size_t>(n));
+  }
 }
 
 }  // namespace tda::net

@@ -10,6 +10,8 @@
 #include <optional>
 #include <string>
 
+#include "net/protocol.hpp"
+
 namespace tda::net {
 
 /// Move-only owner of a file descriptor.
@@ -80,5 +82,13 @@ long write_some(int fd, const char* buf, std::size_t len);
 
 /// Writes all of `buf` on a blocking fd; false on any error/EOF.
 bool write_all(int fd, const char* buf, std::size_t len);
+
+/// Blocking read of one frame from `fd`, appending to `buf` (which may
+/// already hold a prefix). Ok: `frame` views `buf`; erase `consumed`
+/// bytes once done with it. Corrupt: `error` says why — bad framing,
+/// "connection closed" or "read failed". NeedMore: `timeout_ms` (< 0 =
+/// wait forever) ran out first; the bytes read so far stay in `buf`.
+DecodeResult read_frame(int fd, std::string& buf, std::size_t max_payload,
+                        int timeout_ms = -1);
 
 }  // namespace tda::net

@@ -1,6 +1,7 @@
 #include "ops/admin.hpp"
 
-#include <cstring>
+#include <chrono>
+#include <optional>
 
 #include <poll.h>
 #include <sys/socket.h>
@@ -10,53 +11,27 @@ namespace tda::ops {
 
 namespace {
 
-std::uint32_t fnv1a32(const char* data, std::size_t len,
-                      std::uint32_t h = 2166136261u) {
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 16777619u;
-  }
-  return h;
-}
+/// Poll slice of the admin thread: how often it rechecks running_
+/// while waiting for a connection or for a slow request.
+constexpr int kPollSliceMs = 50;
 
-void put_u16(std::string& out, std::uint16_t v) {
-  out.push_back(static_cast<char>(v & 0xff));
-  out.push_back(static_cast<char>((v >> 8) & 0xff));
-}
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-std::uint16_t get_u16(const char* p) {
-  return static_cast<std::uint16_t>(
-      static_cast<unsigned char>(p[0]) |
-      (static_cast<unsigned char>(p[1]) << 8));
-}
-
-std::uint32_t get_u32(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(p[i]))
-         << (8 * i);
-  return v;
-}
-
-/// Blocking full read; false on EOF/error.
-bool read_exact(int fd, char* buf, std::size_t len) {
-  while (len > 0) {
-    const long n = net::read_some(fd, buf, len);
-    if (n <= 0) return false;
-    buf += n;
-    len -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-bool fail(std::string* err, const char* msg) {
+bool fail(std::string* err, const std::string& msg) {
   if (err != nullptr) *err = msg;
   return false;
+}
+
+bool send_command(int fd, net::FrameType type, AdminCmd cmd,
+                  const std::string& text) {
+  std::string out;
+  net::encode_command(out, type, static_cast<std::uint16_t>(cmd), text);
+  return net::write_all(fd, out.data(), out.size());
+}
+
+/// The command/status of a decoded frame of the expected type.
+std::optional<net::CommandFrame> command_of(const net::FrameView& frame,
+                                            net::FrameType want) {
+  if (frame.type != want) return std::nullopt;
+  return net::parse_command(frame.payload);
 }
 
 }  // namespace
@@ -76,69 +51,28 @@ const char* to_string(AdminCmd c) {
   return "unknown";
 }
 
-void encode_admin(std::string& out, AdminCmd cmd,
-                  const std::string& payload) {
-  const std::size_t at = out.size();
-  put_u32(out, kAdminMagic);
-  put_u16(out, kAdminVersion);
-  put_u16(out, static_cast<std::uint16_t>(cmd));
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  put_u32(out, 0);  // checksum, patched below
-  out += payload;
-  std::uint32_t sum = fnv1a32(out.data() + at, 12);
-  sum = fnv1a32(payload.data(), payload.size(), sum);
-  std::string patched;
-  put_u32(patched, sum);
-  out.replace(at + 12, 4, patched);
-}
-
-bool read_admin_frame(int fd, AdminFrame* out, std::string* err) {
-  char header[kAdminHeaderSize];
-  if (!read_exact(fd, header, sizeof(header)))
-    return fail(err, "admin: short header read");
-  if (get_u32(header) != kAdminMagic) return fail(err, "admin: bad magic");
-  if (get_u16(header + 4) != kAdminVersion)
-    return fail(err, "admin: unsupported version");
-  const std::uint16_t cmd = get_u16(header + 6);
-  const std::uint32_t len = get_u32(header + 8);
-  const std::uint32_t want = get_u32(header + 12);
-  if (len > kAdminMaxPayload) return fail(err, "admin: oversized payload");
-  std::string payload(len, '\0');
-  if (len > 0 && !read_exact(fd, payload.data(), len))
-    return fail(err, "admin: short payload read");
-  std::uint32_t sum = fnv1a32(header, 12);
-  sum = fnv1a32(payload.data(), payload.size(), sum);
-  if (sum != want) return fail(err, "admin: checksum mismatch");
-  out->cmd = static_cast<AdminCmd>(cmd);
-  out->payload = std::move(payload);
-  return true;
-}
-
 bool admin_request(const std::string& path, AdminCmd cmd,
                    const std::string& payload, std::string* reply,
                    std::string* err) {
-  net::Endpoint ep;
-  ep.is_unix = true;
-  ep.path = path;
-  net::Fd fd = net::connect_endpoint(ep, err);
+  net::Fd fd = net::connect_endpoint({true, {}, 0, path}, err);
   if (!fd.valid()) return false;
-  std::string out;
-  encode_admin(out, cmd, payload);
-  if (!net::write_all(fd.get(), out.data(), out.size()))
+  if (!send_command(fd.get(), net::FrameType::AdminRequest, cmd, payload))
     return fail(err, "admin: send failed");
-  AdminFrame resp;
-  if (!read_admin_frame(fd.get(), &resp, err)) return false;
-  if (reply != nullptr) *reply = resp.payload;
-  return resp.cmd == AdminCmd::Ok;
+  std::string buf;
+  const net::DecodeResult r =
+      net::read_frame(fd.get(), buf, kAdminMaxPayload);
+  if (r.status != net::DecodeStatus::Ok)
+    return fail(err, std::string("admin: ") + r.error);
+  const auto resp = command_of(r.frame, net::FrameType::AdminReply);
+  if (!resp) return fail(err, "admin: unexpected reply frame");
+  if (reply != nullptr) *reply = resp->text;
+  return resp->code == static_cast<std::uint16_t>(AdminCmd::Ok);
 }
 
 bool AdminServer::start(const std::string& path, Handler handler,
                         std::string* err) {
   if (running_.load()) return fail(err, "admin: already running");
-  net::Endpoint ep;
-  ep.is_unix = true;
-  ep.path = path;
-  listener_ = net::listen_endpoint(ep, 16, err);
+  listener_ = net::listen_endpoint({true, {}, 0, path}, 16, err);
   if (!listener_.valid()) return false;
   path_ = path;
   handler_ = std::move(handler);
@@ -148,38 +82,45 @@ bool AdminServer::start(const std::string& path, Handler handler,
 }
 
 void AdminServer::stop() {
-  if (!running_.exchange(false)) {
-    if (thread_.joinable()) thread_.join();
-    return;
-  }
+  const bool was_running = running_.exchange(false);
   if (thread_.joinable()) thread_.join();
+  if (!was_running) return;
   listener_.reset();
   if (!path_.empty()) ::unlink(path_.c_str());
 }
 
 void AdminServer::loop() {
+  using Clock = std::chrono::steady_clock;
   while (running_.load(std::memory_order_relaxed)) {
-    struct pollfd pfd;
-    pfd.fd = listener_.get();
-    pfd.events = POLLIN;
-    pfd.revents = 0;
-    const int rc = ::poll(&pfd, 1, 50);
-    if (rc <= 0) continue;
+    struct pollfd pfd = {listener_.get(), POLLIN, 0};
+    if (::poll(&pfd, 1, kPollSliceMs) <= 0) continue;
     net::Fd conn(::accept(listener_.get(), nullptr, nullptr));
     if (!conn.valid()) continue;
-    AdminFrame frame;
-    std::string err;
-    std::string out;
-    if (!read_admin_frame(conn.get(), &frame, &err)) {
-      encode_admin(out, AdminCmd::Err, err);
-      (void)net::write_all(conn.get(), out.data(), out.size());
-      continue;
-    }
+    const auto deadline =
+        Clock::now() + std::chrono::milliseconds(kAdminReadTimeoutMs);
+    std::string buf;
+    net::DecodeResult r;
+    do {
+      r = net::read_frame(conn.get(), buf, kAdminMaxPayload, kPollSliceMs);
+    } while (r.status == net::DecodeStatus::NeedMore &&
+             running_.load(std::memory_order_relaxed) &&
+             Clock::now() < deadline);
     std::pair<bool, std::string> result{false, "no handler"};
-    if (handler_) result = handler_(frame.cmd, frame.payload);
-    encode_admin(out, result.first ? AdminCmd::Ok : AdminCmd::Err,
-                 result.second);
-    (void)net::write_all(conn.get(), out.data(), out.size());
+    if (r.status == net::DecodeStatus::NeedMore) {
+      result.second = "admin: timed out waiting for a request";
+    } else if (r.status == net::DecodeStatus::Corrupt) {
+      result.second = std::string("admin: ") + r.error;
+    } else if (const auto req =
+                   command_of(r.frame, net::FrameType::AdminRequest);
+               !req) {
+      result.second = std::string("admin: not an admin request: ") +
+                      net::to_string(r.frame.type);
+    } else if (handler_) {
+      result = handler_(static_cast<AdminCmd>(req->code), req->text);
+    }
+    (void)send_command(conn.get(), net::FrameType::AdminReply,
+                       result.first ? AdminCmd::Ok : AdminCmd::Err,
+                       result.second);
   }
 }
 

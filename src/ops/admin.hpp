@@ -1,13 +1,13 @@
 #pragma once
-// The operations control plane: a unix-domain admin socket speaking
-// tiny v1 framed commands — health, ready, stats, reload, drain,
-// snapshot, handoff. Framing mirrors the data-plane protocol (magic +
-// version + command + length + FNV-1a-32 checksum) but with its own
-// magic ("TDAO"), so a data-plane client that dials the admin socket by
-// mistake is rejected at the first header. Payloads are plain text:
-// key=value lines in, key=value lines (or an error message) out —
-// greppable from a shell via tridiag_cli or socat, parseable by the
-// restart bench. docs/OPERATIONS.md documents every command.
+// The operations control plane: a unix-domain admin socket serving
+// health, ready, stats, reload, drain, snapshot and handoff commands.
+// Commands travel as AdminRequest/AdminReply frames of the data-plane
+// codec (net/protocol.hpp) — same header, checksum and decoder — so a
+// data-plane frame sent to the admin socket gets an Err reply and an
+// admin frame sent to the data socket gets BadFrame. Payloads are
+// plain text: key=value lines in, key=value lines (or an error
+// message) out — greppable from a shell via tridiag_cli, parseable by
+// the restart bench. docs/OPERATIONS.md documents every command.
 
 #include <atomic>
 #include <cstdint>
@@ -20,10 +20,9 @@
 
 namespace tda::ops {
 
-inline constexpr std::uint32_t kAdminMagic = 0x4F414454;  // "TDAO"
-inline constexpr std::uint16_t kAdminVersion = 1;
-inline constexpr std::size_t kAdminHeaderSize = 16;
 inline constexpr std::size_t kAdminMaxPayload = 1u << 20;
+/// Deadline for one connection's request (see AdminServer).
+inline constexpr int kAdminReadTimeoutMs = 1000;
 
 enum class AdminCmd : std::uint16_t {
   // requests
@@ -41,19 +40,6 @@ enum class AdminCmd : std::uint16_t {
 
 const char* to_string(AdminCmd c);
 
-struct AdminFrame {
-  AdminCmd cmd = AdminCmd::Err;
-  std::string payload;
-};
-
-/// Appends one framed command/reply to `out`.
-void encode_admin(std::string& out, AdminCmd cmd,
-                  const std::string& payload);
-
-/// Blocking read of exactly one frame from `fd`. False on EOF, a
-/// malformed header, a checksum mismatch, or an oversized payload.
-bool read_admin_frame(int fd, AdminFrame* out, std::string* err);
-
 /// One-shot client: connect to the admin socket at `path`, send `cmd`,
 /// wait for the reply. Returns true iff the server answered Ok;
 /// `reply` gets the reply payload either way (Err text on failure).
@@ -62,9 +48,12 @@ bool admin_request(const std::string& path, AdminCmd cmd,
                    std::string* err);
 
 /// Serves the admin socket on its own thread, one command per
-/// connection, handled sequentially. The handler returns {ok, payload};
-/// it runs on the admin thread, so anything touching poll-thread state
-/// must go through FrontDoor::post.
+/// connection, handled sequentially; a connection that has not sent a
+/// whole request within kAdminReadTimeoutMs (or by stop()) is answered
+/// Err and closed, so a silent client cannot wedge the socket or its
+/// shutdown. The handler returns {ok, payload}; it runs on the admin
+/// thread, so anything touching poll-thread state must go through
+/// FrontDoor::post.
 class AdminServer {
  public:
   using Handler =

@@ -1,29 +1,18 @@
 #include "ops/snapshot.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
-#include "faults/faults.hpp"
+#include "faults/durable.hpp"
 
 namespace tda::ops {
 
 namespace {
-
-std::uint64_t fnv1a64(const std::string& bytes) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const unsigned char c : bytes) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 /// %-escapes bytes that would break the tab/newline framing (or an
 /// unescape pass): anything outside printable ASCII, '%' itself, tab,
@@ -76,13 +65,6 @@ std::string fmt_f64(double v) {
 
 std::string fmt_u64(std::uint64_t v) { return std::to_string(v); }
 
-std::string fmt_hex64(std::uint64_t v) {
-  char buf[20];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
 bool parse_f64(const std::string& tok, double* out) {
   if (tok.empty()) return false;
   char* end = nullptr;
@@ -94,13 +76,6 @@ bool parse_u64(const std::string& tok, std::uint64_t* out) {
   if (tok.empty()) return false;
   char* end = nullptr;
   *out = std::strtoull(tok.c_str(), &end, 10);
-  return end != nullptr && *end == '\0';
-}
-
-bool parse_hex64(const std::string& tok, std::uint64_t* out) {
-  if (tok.size() != 16) return false;
-  char* end = nullptr;
-  *out = std::strtoull(tok.c_str(), &end, 16);
   return end != nullptr && *end == '\0';
 }
 
@@ -160,8 +135,8 @@ std::string serialize_snapshot(const ServerState& state) {
               return a->key < b->key;
             });
   for (const DedupEntryState* e : entries) {
-    body += "entry\t" + escape(e->tenant) + "\t" + fmt_hex64(e->key) + "\t" +
-            fmt_hex64(e->payload_hash) + "\t" +
+    body += "entry\t" + escape(e->tenant) + "\t" + durable::hex64(e->key) +
+            "\t" + durable::hex64(e->payload_hash) + "\t" +
             std::to_string(e->status) + "\t" +
             (e->fallback_used ? "1" : "0") + "\t" + fmt_f64(e->solve_ms) +
             "\t" + fmt_f64(e->wait_ms) + "\t" + fmt_u64(e->batch_systems) +
@@ -172,31 +147,20 @@ std::string serialize_snapshot(const ServerState& state) {
     body += "\n";
   }
 
-  std::string out = kSnapshotHeader;
-  out += fmt_hex64(fnv1a64(body));
-  out += "\n";
-  out += body;
-  return out;
+  return durable::seal(kSnapshotHeader, body, kFnv1a64LegacyBasis);
 }
 
 bool parse_snapshot(const std::string& bytes, ServerState* out,
                     std::string* why) {
-  const std::size_t header_len = sizeof(kSnapshotHeader) - 1;
-  if (bytes.size() < header_len + 17 ||
-      bytes.compare(0, header_len, kSnapshotHeader) != 0) {
-    return fail(why, "bad or missing snapshot header");
+  std::string_view body;
+  if (!durable::unseal(kSnapshotHeader, bytes, &body, why,
+                      kFnv1a64LegacyBasis)) {
+    return false;
   }
-  std::uint64_t want = 0;
-  if (!parse_hex64(bytes.substr(header_len, 16), &want) ||
-      bytes[header_len + 16] != '\n') {
-    return fail(why, "unparsable header checksum");
-  }
-  const std::string body = bytes.substr(header_len + 17);
-  if (fnv1a64(body) != want) return fail(why, "checksum mismatch");
 
   ServerState scratch;
   bool saw_meta = false;
-  std::istringstream in(body);
+  std::istringstream in{std::string(body)};
   std::string line;
   while (std::getline(in, line)) {
     const auto f = split_tabs(line);
@@ -238,8 +202,8 @@ bool parse_snapshot(const std::string& bytes, ServerState* out,
       DedupEntryState e;
       std::uint64_t status = 0, n = 0;
       if (f.size() < 14 || !unescape(f[1], &e.tenant) ||
-          !parse_hex64(f[2], &e.key) ||
-          !parse_hex64(f[3], &e.payload_hash) ||
+          !durable::parse_hex64(f[2], &e.key) ||
+          !durable::parse_hex64(f[3], &e.payload_hash) ||
           !parse_u64(f[4], &status) || (f[5] != "0" && f[5] != "1") ||
           !parse_f64(f[6], &e.solve_ms) || !parse_f64(f[7], &e.wait_ms) ||
           !parse_u64(f[8], &e.batch_systems) ||
@@ -268,39 +232,14 @@ bool parse_snapshot(const std::string& bytes, ServerState* out,
 
 bool save_snapshot(const std::string& path, const ServerState& state,
                    std::string* why) {
-  static std::atomic<std::uint64_t> temp_counter{0};
-  const std::string bytes = serialize_snapshot(state);
-  const std::string tmp =
-      path + ".tmp" + std::to_string(temp_counter.fetch_add(1));
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return fail(why, "cannot open temp file " + tmp);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    if (!out) {
-      std::remove(tmp.c_str());
-      return fail(why, "short write to " + tmp);
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return fail(why, "rename to " + path + " failed");
-  }
-  return true;
+  return durable::write_atomic(path, serialize_snapshot(state), why);
 }
 
 bool load_snapshot(const std::string& path, ServerState* out,
                    std::string* why) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return fail(why, "cannot open " + path);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  // Same corruption hook as the tuning cache: lets tests and TDA_FAULTS
-  // flip bits between disk and parser to prove whole-file rejection.
-  auto& inj = faults::FaultInjector::global();
-  if (inj.fire(faults::Site::CacheCorrupt)) {
-    faults::corrupt_bytes(bytes, inj.config().seed, 4);
-  }
-  return parse_snapshot(bytes, out, why);
+  const auto bytes = durable::read_file(path);
+  if (!bytes) return fail(why, "cannot open " + path);
+  return parse_snapshot(*bytes, out, why);
 }
 
 }  // namespace tda::ops

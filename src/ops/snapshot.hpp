@@ -1,14 +1,14 @@
 #pragma once
 // Versioned, checksummed, crash-safe serialization of ops::ServerState
-// — the same discipline as the v2 tuning cache: a header line carrying
-// a 64-bit FNV-1a checksum of everything after it, whole-file rejection
-// on any version/checksum/parse failure (a damaged snapshot falls back
-// to cold start, never to a half-restored registry), and atomic
-// replacement via unique temp file + rename so a crash mid-write leaves
-// the previous snapshot intact.
+// inside the shared durable-file envelope (faults/durable.hpp): a
+// header line carrying a 64-bit FNV-1a checksum of everything after it,
+// whole-file rejection on any header/checksum damage, and atomic
+// replacement via unique temp file + rename. A record that fails to
+// parse rejects the whole snapshot too, so a damaged snapshot falls
+// back to cold start, never to a half-restored registry.
 //
-// The format is line-based text: doubles are printed as C99 hex floats
-// (%a), which round-trip exactly and make save -> load -> save
+// The record format is line-based text: doubles are printed as C99 hex
+// floats (%a), which round-trip exactly and make save -> load -> save
 // byte-stable; strings are %-escaped; tenants and dedup entries are
 // written in sorted order so serialization is a pure function of the
 // state. docs/OPERATIONS.md documents the grammar.
@@ -20,8 +20,8 @@
 namespace tda::ops {
 
 /// Header prefix of the current snapshot format. The 16 hex digits
-/// after "checksum=" are FNV-1a-64 over every byte after the header
-/// line's newline.
+/// after "checksum=" are FNV-1a-64 (offset basis kFnv1a64LegacyBasis)
+/// over every byte after the header line's newline.
 inline constexpr char kSnapshotHeader[] =
     "# tridiag_ops snapshot v1 checksum=";
 
@@ -36,15 +36,15 @@ std::string serialize_snapshot(const ServerState& state);
 bool parse_snapshot(const std::string& bytes, ServerState* out,
                     std::string* why = nullptr);
 
-/// Writes atomically: serialize to `path + ".tmp<N>"`, rename over
-/// `path`. Returns false (and removes the temp) when any step fails.
+/// Writes atomically (durable::write_atomic). Returns false, with the
+/// temp file removed, when any step fails.
 bool save_snapshot(const std::string& path, const ServerState& state,
                    std::string* why = nullptr);
 
 /// Loads `path`. A missing file, a short read, or any parse/checksum
 /// failure returns false with `out` untouched — the caller cold-starts.
-/// The faults::Site::CacheCorrupt hook (TDA_FAULTS cache_corrupt=...)
-/// can flip bits between disk and the parser, same as the tuning cache.
+/// Reads through durable::read_file, so the faults::Site::CacheCorrupt
+/// hook (TDA_FAULTS cache_corrupt=...) can flip bits before parsing.
 bool load_snapshot(const std::string& path, ServerState* out,
                    std::string* why = nullptr);
 

@@ -5,14 +5,14 @@
 //
 // Thread-safe: every member takes an internal mutex, so one cache can be
 // shared by concurrent solver workers (the solve service shares a single
-// cache across all its devices). Saves are atomic — contents are written
+// cache across all its devices). Files use the shared durable-file
+// envelope (faults/durable.hpp): saves are atomic — contents are written
 // to a temp file and renamed into place — so a reader never observes a
 // half-written cache. save_merged() additionally folds in records that
 // another process/instance has persisted since we loaded, keeping
 // multiple writers of one cache_path from clobbering each other.
 
 #include <cstddef>
-#include <iosfwd>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -44,14 +44,10 @@ class TuningCache {
   [[nodiscard]] std::map<std::string, CacheEntry> snapshot() const;
 
   /// Serialisation. load() merges into the current contents and returns
-  /// the number of records read (0 for a missing file). save() replaces
-  /// the file atomically (temp file + rename).
-  ///
-  /// The on-disk format carries a version + FNV-1a checksum header; a
-  /// file whose header or checksum fails verification is rejected WHOLE
-  /// (no partial cache — the tuner falls back to re-tuning), while
-  /// individual malformed records of an intact file are counted,
-  /// log-warned and skipped. Legacy v1 files load without a checksum.
+  /// the number of records read (0 for a missing file, or for one whose
+  /// header or checksum fails: it is rejected WHOLE and the tuner
+  /// re-tunes). Malformed records of an intact file are counted,
+  /// log-warned and skipped; legacy v1 files load without a checksum.
   std::size_t load(const std::string& path);
   bool save(const std::string& path) const;
 
@@ -61,16 +57,6 @@ class TuningCache {
   bool save_merged(const std::string& path) const;
 
  private:
-  struct ParseResult {
-    std::size_t loaded = 0;   ///< valid records stored into `out`
-    std::size_t skipped = 0;  ///< malformed records dropped (log-warned)
-    bool header_ok = true;    ///< false = whole file rejected
-  };
-  static ParseResult parse_stream(std::istream& in,
-                                  std::map<std::string, CacheEntry>& out);
-  static bool write_atomic(const std::string& path,
-                           const std::map<std::string, CacheEntry>& entries);
-
   mutable std::mutex mu_;
   std::map<std::string, CacheEntry> entries_;
 };

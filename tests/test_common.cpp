@@ -1,5 +1,5 @@
 // Unit tests for src/common: buffers, strided views, RNG, statistics,
-// tables, CLI parsing, contracts.
+// tables, CLI parsing, contracts, checksums.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +10,7 @@
 
 #include "common/aligned_buffer.hpp"
 #include "common/check.hpp"
+#include "common/checksum.hpp"
 #include "common/cli.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -19,6 +20,32 @@
 namespace {
 
 using namespace tda;
+
+// ---------- checksums ----------
+
+TEST(Checksum, Fnv1a32PublishedVectors) {
+  EXPECT_EQ(fnv1a32(""), 0x811C9DC5u);
+  EXPECT_EQ(fnv1a32("a"), 0xE40C292Cu);
+  EXPECT_EQ(fnv1a32("foobar"), 0xBF9CF968u);
+  // Continuing from a state is hashing the concatenation.
+  EXPECT_EQ(fnv1a32("bar", fnv1a32("foo")), fnv1a32("foobar"));
+}
+
+TEST(Checksum, Fnv1a64PublishedVectors) {
+  EXPECT_EQ(fnv1a64(""), 0xCBF29CE484222325ull);
+  EXPECT_EQ(fnv1a64("a"), 0xAF63DC4C8601EC8Cull);
+  EXPECT_EQ(fnv1a64("foobar"), 0x85944171F73967E8ull);
+}
+
+TEST(Checksum, LegacyBasisKeepsPersistedPayloadHashes) {
+  // Values the front door stored (and snapshots persisted) as payload
+  // fingerprints before the checksum moved here; a restart must keep
+  // recognising byte-identical resends.
+  EXPECT_EQ(fnv1a64("", kFnv1a64LegacyBasis), 0x14650FB0739D0383ull);
+  EXPECT_EQ(fnv1a64("payload-bytes", kFnv1a64LegacyBasis),
+            0xBD05A19446121AF9ull);
+  EXPECT_EQ(fnv1a64("a", kFnv1a64LegacyBasis), 0x44BD8AD473CD9906ull);
+}
 
 // ---------- contracts ----------
 

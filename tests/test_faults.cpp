@@ -1,13 +1,23 @@
 // Tests for the fault-injection framework: spec parsing, deterministic
 // decision draws, counters, scoped overrides, byte corruption, system
-// poisoning, and the device-side arming gate.
+// poisoning, and the device-side arming gate. Also the durable-file
+// envelope every checksummed file goes through (its read path carries
+// the CacheCorrupt site).
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <atomic>
+#include <cctype>
 #include <cmath>
+#include <cstdio>
+#include <filesystem>
 #include <sstream>
+#include <string>
+#include <string_view>
 #include <vector>
 
+#include "faults/durable.hpp"
 #include "faults/faults.hpp"
 #include "gpusim/device.hpp"
 #include "gpusim/launch.hpp"
@@ -174,6 +184,181 @@ TEST(CorruptBytes, EmptyInputIsNoOp) {
   std::string empty;
   corrupt_bytes(empty, 1, 8);
   EXPECT_TRUE(empty.empty());
+}
+
+// ---------- durable-file envelope ----------
+
+namespace durable_files {
+
+namespace fs = std::filesystem;
+
+constexpr std::string_view kHeader = "# durable test v1 checksum=";
+
+/// A fresh, empty directory per call.
+fs::path scratch_dir() {
+  static std::atomic<int> counter{0};
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("tda_durable_" + std::to_string(::getpid()) + "_" +
+       std::to_string(counter.fetch_add(1)));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  return dir;
+}
+
+std::size_t temp_files_in(const fs::path& dir) {
+  std::size_t n = 0;
+  for (const auto& e : fs::directory_iterator(dir)) {
+    if (e.path().filename().string().find(".tmp") != std::string::npos) ++n;
+  }
+  return n;
+}
+
+std::string sample_body() {
+  return "record\tone\t1\nrecord\ttwo\t2\n# comment\nrecord\tthree\t3\n";
+}
+
+}  // namespace durable_files
+
+TEST(DurableEnvelope, SealLayoutAndRoundTrip) {
+  using namespace durable_files;
+  const std::string body = sample_body();
+  const std::string sealed = durable::seal(kHeader, body);
+  char sum[17];
+  std::snprintf(sum, sizeof(sum), "%016llx",
+                static_cast<unsigned long long>(fnv1a64(body)));
+  EXPECT_EQ(sealed, std::string(kHeader) + sum + "\n" + body);
+  std::string_view out;
+  std::string why;
+  ASSERT_TRUE(durable::unseal(kHeader, sealed, &out, &why)) << why;
+  EXPECT_EQ(out, body);
+
+  // An empty body is a valid file; the basis is part of the format.
+  ASSERT_TRUE(durable::unseal(kHeader, durable::seal(kHeader, ""), &out));
+  EXPECT_TRUE(out.empty());
+  const std::string legacy = durable::seal(kHeader, body, kFnv1a64LegacyBasis);
+  EXPECT_NE(legacy, sealed);
+  EXPECT_FALSE(durable::unseal(kHeader, legacy, &out));
+  EXPECT_TRUE(
+      durable::unseal(kHeader, legacy, &out, nullptr, kFnv1a64LegacyBasis));
+}
+
+TEST(DurableEnvelope, TruncationAtEveryBoundaryRejectsWholeFile) {
+  using namespace durable_files;
+  const std::string sealed = durable::seal(kHeader, sample_body());
+  for (std::size_t cut = 0; cut < sealed.size(); ++cut) {
+    std::string_view out = "untouched";
+    std::string why;
+    EXPECT_FALSE(durable::unseal(kHeader, std::string_view(sealed).substr(
+                                              0, cut),
+                                 &out, &why))
+        << "cut at " << cut;
+    EXPECT_EQ(out, "untouched") << "body set on cut at " << cut;
+    EXPECT_FALSE(why.empty());
+  }
+}
+
+TEST(DurableEnvelope, BitFlipAnywhereRejectsWholeFile) {
+  using namespace durable_files;
+  const std::string sealed = durable::seal(kHeader, sample_body());
+  std::string_view out;
+  for (std::size_t i = 0; i < sealed.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string mutated = sealed;
+      mutated[i] = static_cast<char>(mutated[i] ^ (1 << bit));
+      // Case-flipping a hex digit of the checksum spells the same value.
+      const bool same_digit =
+          i >= kHeader.size() && i < kHeader.size() + 16 && bit == 5 &&
+          std::isalpha(static_cast<unsigned char>(sealed[i])) &&
+          std::isxdigit(static_cast<unsigned char>(mutated[i]));
+      if (same_digit) continue;
+      EXPECT_FALSE(durable::unseal(kHeader, mutated, &out))
+          << "flip of bit " << bit << " at byte " << i;
+    }
+  }
+}
+
+TEST(DurableEnvelope, WrongOrMissingHeaderRejected) {
+  using namespace durable_files;
+  const std::string body = sample_body();
+  const std::string sealed = durable::seal(kHeader, body);
+  std::string_view out;
+  std::string why;
+  // Another format's (or version's) header never unseals as this one.
+  EXPECT_FALSE(durable::unseal("# durable test v2 checksum=", sealed, &out,
+                               &why));
+  EXPECT_FALSE(why.empty());
+  // Records without any header line.
+  EXPECT_FALSE(durable::unseal(kHeader, body, &out));
+  // A checksum field that is not 16 hex digits.
+  std::string bad = sealed;
+  bad[kHeader.size() + 3] = 'g';
+  EXPECT_FALSE(durable::unseal(kHeader, bad, &out));
+  bad = sealed;
+  bad.erase(kHeader.size(), 1);
+  EXPECT_FALSE(durable::unseal(kHeader, bad, &out));
+}
+
+TEST(DurableFile, MissingFileReadsAsNothing) {
+  using namespace durable_files;
+  const fs::path dir = scratch_dir();
+  EXPECT_FALSE(durable::read_file((dir / "absent").string()).has_value());
+  fs::remove_all(dir);
+}
+
+TEST(DurableFile, WriteIsAtomicReplacementWithNoTempLeft) {
+  using namespace durable_files;
+  const fs::path dir = scratch_dir();
+  const std::string path = (dir / "state").string();
+  std::string why;
+  ASSERT_TRUE(durable::write_atomic(path, "first\n", &why)) << why;
+  ASSERT_TRUE(durable::write_atomic(path, "second\n", &why)) << why;
+  const auto bytes = durable::read_file(path);
+  ASSERT_TRUE(bytes.has_value());
+  EXPECT_EQ(*bytes, "second\n");
+  EXPECT_EQ(temp_files_in(dir), 0u);
+  fs::remove_all(dir);
+}
+
+TEST(DurableFile, FailedRenameRemovesTheTempFile) {
+  using namespace durable_files;
+  const fs::path dir = scratch_dir();
+  // The target is a non-empty directory, so rename() over it fails.
+  const fs::path target = dir / "target";
+  fs::create_directories(target / "occupied");
+  std::string why;
+  EXPECT_FALSE(durable::write_atomic(target.string(), "bytes\n", &why));
+  EXPECT_NE(why.find("rename"), std::string::npos) << why;
+  EXPECT_EQ(temp_files_in(dir), 0u);
+  EXPECT_TRUE(fs::is_directory(target));
+  fs::remove_all(dir);
+}
+
+TEST(DurableFile, CacheCorruptHookRejectsTheWholeFile) {
+  using namespace durable_files;
+  const fs::path dir = scratch_dir();
+  const std::string path = (dir / "sealed").string();
+  const std::string sealed = durable::seal(kHeader, sample_body());
+  ASSERT_TRUE(durable::write_atomic(path, sealed));
+  std::string_view out;
+  {
+    FaultConfig cfg;
+    cfg.seed = 5;
+    cfg.rate_of(Site::CacheCorrupt) = 1.0;
+    ScopedFaultConfig scoped(cfg);
+    const auto bytes = durable::read_file(path);
+    ASSERT_TRUE(bytes.has_value());
+    EXPECT_EQ(bytes->size(), sealed.size());
+    EXPECT_NE(*bytes, sealed);
+    EXPECT_FALSE(durable::unseal(kHeader, *bytes, &out));
+    EXPECT_EQ(FaultInjector::global().injected(Site::CacheCorrupt), 1u);
+  }
+  // With the site idle the same file reads back intact.
+  const auto bytes = durable::read_file(path);
+  ASSERT_TRUE(bytes.has_value());
+  EXPECT_EQ(*bytes, sealed);
+  EXPECT_TRUE(durable::unseal(kHeader, *bytes, &out));
+  fs::remove_all(dir);
 }
 
 // ---------- system poisoning ----------

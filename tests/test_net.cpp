@@ -694,6 +694,33 @@ TEST(NetDoor, InjectedCorruptionRejectedByChecksum) {
   EXPECT_GE(fx.door->counters().bad_frames, 1u);
 }
 
+TEST(NetDoor, AdminFrameOnDataSocketIsBadFrame) {
+  // Admin commands share the codec but never the socket: the data
+  // socket answers an AdminRequest with a typed BadFrame and closes.
+  DoorFixture fx;
+  ASSERT_TRUE(fx.start());
+  Endpoint ep;
+  ep.is_unix = true;
+  ep.path = fx.sock;
+  std::string err;
+  Fd fd = connect_endpoint(ep, &err);
+  ASSERT_TRUE(fd.valid()) << err;
+  std::string buf;
+  encode_command(buf, FrameType::AdminRequest, 1, "");
+  ASSERT_TRUE(write_all(fd.get(), buf.data(), buf.size()));
+  buf.clear();
+  const auto r = read_frame(fd.get(), buf, 1 << 20, 2000);
+  ASSERT_EQ(r.status, DecodeStatus::Ok) << r.error;
+  ASSERT_EQ(r.frame.type, FrameType::SolveErr);
+  const auto e = parse_solve_err(r.frame.payload);
+  ASSERT_TRUE(e.has_value());
+  EXPECT_EQ(e->code, ErrorCode::BadFrame);
+  buf.erase(0, r.consumed);
+  EXPECT_EQ(read_frame(fd.get(), buf, 1 << 20, 2000).status,
+            DecodeStatus::Corrupt);  // the server closed the connection
+  EXPECT_GE(fx.door->counters().bad_frames, 1u);
+}
+
 TEST(NetDoor, InjectedDropClosesConnection) {
   DoorFixture fx;
   ASSERT_TRUE(fx.start());

@@ -69,6 +69,23 @@ std::vector<std::string> build_corpus() {
     encode_solve_err(f, 31337, ErrorCode::QuotaRate, "over the limit");
     corpus.push_back(f);
   }
+  {
+    // Admin-socket frames: empty, short and ~64 KiB key=value payloads.
+    std::string big;
+    for (int i = 0; big.size() < (64u << 10); ++i) {
+      big += "tenant.t" + std::to_string(i) + ".weight=" +
+             std::to_string(i % 7 + 1) + "\n";
+    }
+    for (const std::string& text : {std::string(), std::string("k=v\n"),
+                                    big}) {
+      std::string f;
+      encode_command(f, FrameType::AdminRequest, 4, text);
+      corpus.push_back(f);
+      f.clear();
+      encode_command(f, FrameType::AdminReply, 100, text);
+      corpus.push_back(f);
+    }
+  }
   for (const std::size_t n : {1u, 7u, 64u}) {
     std::vector<float> vf(n, 1.5f);
     std::vector<double> vd(n, 2.5);
@@ -136,6 +153,7 @@ void exercise_parsers(const std::string& payload) {
   (void)parse_hello(payload);
   (void)parse_hello_ok(payload);
   (void)parse_solve_err(payload);
+  (void)parse_command(payload);
   (void)solve_dtype(payload);
   (void)parse_solve<float>(payload);
   (void)parse_solve<double>(payload);

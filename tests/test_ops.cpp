@@ -1,6 +1,7 @@
 // Zero-downtime operations tests (docs/OPERATIONS.md): snapshot
-// round-trip + whole-file rejection of damage, admin protocol framing
-// and server, SCM_RIGHTS fd passing, dedup seeding, and the front-door
+// round-trip + whole-file rejection of damage + a golden v1 file, admin
+// frames on the wire codec and the admin server (wrong-socket frames,
+// silent clients), SCM_RIGHTS fd passing, dedup seeding, and the front-door
 // export/import + ops::Server end-to-end paths (live reload, snapshot,
 // exactly-once replay across a simulated generation boundary).
 
@@ -9,9 +10,13 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <functional>
+#include <future>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "faults/faults.hpp"
@@ -20,6 +25,7 @@
 #include "net/dedup.hpp"
 #include "net/front_door.hpp"
 #include "net/protocol.hpp"
+#include "net/socket.hpp"
 #include "ops/admin.hpp"
 #include "ops/fdpass.hpp"
 #include "ops/server.hpp"
@@ -324,47 +330,191 @@ TEST(OpsSnapshot, SaveIsAtomicReplacement) {
   ::unlink(path.c_str());
 }
 
+// A v1 snapshot exactly as the format's first writer produced it. Pins
+// "the on-disk format and the persisted payload hashes are unchanged":
+// it must parse to these records and re-serialize byte-identical.
+constexpr char kGoldenSnapshotV1[] =
+    "# tridiag_ops snapshot v1 checksum=d98dbeeddf1d0a96\n"
+    "meta\t2\t0x1.99c82cc07b8p+40\n"
+    "stats\t12\t5\t1\t0\t0\n"
+    "tenant\talpha\ttok%20en%251\t0x1p+1\t64\t1048576\t0x1.9p+6\t0x1.4p+4"
+    "\t0x1.f4p+7\t0\t0x1p+5\t77\t3\n"
+    "tenant\tbeta\ttb\t0x1p+0\t0\t0\t0x0p+0\t0x0p+0\t0x0p+0\t1\t0x0p+0"
+    "\t0\t0\n"
+    "entry\talpha\t0123456789abcdef\tbd05a19446121af9\t0\t0\t0x1.8p-1"
+    "\t0x1.8p+0\t8\t0\t1\tGeForce%20GTX%20470\t\t3\t0x1p+0\t-0x1p-1"
+    "\t0x1.999999999999ap-4\n"
+    "entry\tbeta\t000000000000002a\t14650fb0739d0383\t5\t0\t0x0p+0\t0x0p+0"
+    "\t0\t0\t0\t\tsingular%20pivot\t0\n";
+
+TEST(OpsSnapshot, GoldenV1FileLoadsAndReserializesByteIdentical) {
+  const std::string path = unique_path("golden", ".snap");
+  FILE* f = ::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ::fputs(kGoldenSnapshotV1, f);
+  ::fclose(f);
+  ServerState st;
+  std::string why;
+  ASSERT_TRUE(load_snapshot(path, &st, &why)) << why;
+  EXPECT_EQ(st.generation, 2u);
+  EXPECT_EQ(st.saved_unix_ms, 1760000000123.5);
+  EXPECT_EQ(st.dedup_stats.inserts, 12u);
+  EXPECT_EQ(st.dedup_stats.hits, 5u);
+  ASSERT_EQ(st.tenants.size(), 2u);
+  EXPECT_EQ(st.tenants[0].name, "alpha");
+  EXPECT_EQ(st.tenants[0].token, "tok en%1");
+  EXPECT_EQ(st.tenants[0].weight, 2.0);
+  EXPECT_EQ(st.tenants[0].max_inflight_bytes, std::size_t{1} << 20);
+  EXPECT_EQ(st.tenants[0].default_deadline_ms, 250.0);
+  EXPECT_TRUE(st.tenants[1].disabled);
+  ASSERT_EQ(st.entries.size(), 2u);
+  // The persisted fingerprints are the front door's payload hashes.
+  EXPECT_EQ(st.entries[0].payload_hash,
+            fnv1a64("payload-bytes", kFnv1a64LegacyBasis));
+  EXPECT_EQ(st.entries[1].payload_hash, fnv1a64("", kFnv1a64LegacyBasis));
+  EXPECT_EQ(st.entries[0].key, 0x0123456789abcdefULL);
+  EXPECT_EQ(st.entries[0].device, "GeForce GTX 470");
+  EXPECT_EQ(st.entries[0].x, (std::vector<double>{1.0, -0.5, 0.1}));
+  EXPECT_EQ(st.entries[1].status, 5);
+  EXPECT_EQ(st.entries[1].error, "singular pivot");
+  EXPECT_EQ(serialize_snapshot(st), kGoldenSnapshotV1);
+  ASSERT_TRUE(save_snapshot(path, st, &why)) << why;
+  ServerState again;
+  ASSERT_TRUE(load_snapshot(path, &again, &why)) << why;
+  EXPECT_EQ(serialize_snapshot(again), kGoldenSnapshotV1);
+  ::unlink(path.c_str());
+}
+
 // ------------------------------------------------------------------- admin
 
 TEST(OpsAdmin, FrameCodecRoundTripAndChecksumRejection) {
+  // Admin commands ride the data-plane codec: one header, one checksum,
+  // one decoder.
   std::string buf;
-  encode_admin(buf, AdminCmd::Reload, "tenant=alpha\nweight=3\n");
-  ASSERT_GE(buf.size(), kAdminHeaderSize);
-
-  int sp[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sp), 0);
-  ASSERT_EQ(::write(sp[0], buf.data(), buf.size()),
-            static_cast<long>(buf.size()));
-  AdminFrame frame;
-  std::string err;
-  ASSERT_TRUE(read_admin_frame(sp[1], &frame, &err)) << err;
-  EXPECT_EQ(frame.cmd, AdminCmd::Reload);
-  EXPECT_EQ(frame.payload, "tenant=alpha\nweight=3\n");
+  net::encode_command(buf, net::FrameType::AdminRequest,
+                      static_cast<std::uint16_t>(AdminCmd::Reload),
+                      "tenant=alpha\nweight=3\n");
+  const auto r = net::decode_frame(buf, kAdminMaxPayload);
+  ASSERT_EQ(r.status, net::DecodeStatus::Ok) << r.error;
+  EXPECT_EQ(r.consumed, buf.size());
+  EXPECT_EQ(r.frame.type, net::FrameType::AdminRequest);
+  const auto cmd = net::parse_command(r.frame.payload);
+  ASSERT_TRUE(cmd.has_value());
+  EXPECT_EQ(cmd->code, static_cast<std::uint16_t>(AdminCmd::Reload));
+  EXPECT_EQ(cmd->text, "tenant=alpha\nweight=3\n");
+  EXPECT_FALSE(net::parse_command("x").has_value());
 
   // Flip one payload byte: the checksum must reject the frame.
   std::string bad = buf;
   bad.back() = static_cast<char>(bad.back() ^ 0x01);
-  ASSERT_EQ(::write(sp[0], bad.data(), bad.size()),
-            static_cast<long>(bad.size()));
-  EXPECT_FALSE(read_admin_frame(sp[1], &frame, &err));
-  ::close(sp[0]);
-  ::close(sp[1]);
+  EXPECT_EQ(net::decode_frame(bad, kAdminMaxPayload).status,
+            net::DecodeStatus::Corrupt);
 }
 
-TEST(OpsAdmin, DataPlaneMagicRejectedAtHeader) {
-  // A data-plane client that dials the admin socket by mistake: the
-  // TDAP magic differs from TDAO, so the very first header is refused.
+namespace {
+
+net::Fd dial_unix(const std::string& path) {
+  net::Endpoint ep;
+  ep.is_unix = true;
+  ep.path = path;
+  std::string err;
+  net::Fd fd = net::connect_endpoint(ep, &err);
+  EXPECT_TRUE(fd.valid()) << err;
+  return fd;
+}
+
+/// Runs `fn` on its own thread; true when it returned within `limit`.
+/// Otherwise `unwedge` runs before the join, so a failing check still
+/// lets the test finish.
+bool finishes_within(std::chrono::milliseconds limit,
+                     const std::function<void()>& fn,
+                     const std::function<void()>& unwedge) {
+  std::promise<void> done;
+  auto finished = done.get_future();
+  std::thread t([&] {
+    fn();
+    done.set_value();
+  });
+  const bool ok =
+      finished.wait_for(limit) == std::future_status::ready;
+  if (!ok) unwedge();
+  t.join();
+  return ok;
+}
+
+AdminServer::Handler health_only() {
+  return [](AdminCmd cmd, const std::string&)
+             -> std::pair<bool, std::string> {
+    if (cmd == AdminCmd::Health) return {true, "ok\n"};
+    return {false, "nope"};
+  };
+}
+
+}  // namespace
+
+TEST(OpsAdmin, DataPlaneFrameAnsweredErr) {
+  // A data-plane client that dials the admin socket by mistake: its
+  // Hello decodes (same codec) but is not an AdminRequest, so the
+  // server answers Err without running the handler.
+  const std::string path = unique_path("admin_hello", ".sock");
+  std::atomic<int> calls{0};
+  AdminServer server;
+  std::string err;
+  ASSERT_TRUE(server.start(
+      path,
+      [&calls](AdminCmd, const std::string&)
+          -> std::pair<bool, std::string> {
+        ++calls;
+        return {true, "ok\n"};
+      },
+      &err))
+      << err;
+  net::Fd fd = dial_unix(path);
   std::string buf;
   net::encode_hello(buf, "tok");
-  int sp[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sp), 0);
-  ASSERT_EQ(::write(sp[0], buf.data(), buf.size()),
-            static_cast<long>(buf.size()));
-  AdminFrame frame;
+  ASSERT_TRUE(net::write_all(fd.get(), buf.data(), buf.size()));
+  buf.clear();
+  const auto r = net::read_frame(fd.get(), buf, kAdminMaxPayload);
+  ASSERT_EQ(r.status, net::DecodeStatus::Ok) << r.error;
+  EXPECT_EQ(r.frame.type, net::FrameType::AdminReply);
+  const auto reply = net::parse_command(r.frame.payload);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->code, static_cast<std::uint16_t>(AdminCmd::Err));
+  EXPECT_NE(reply->text.find("hello"), std::string::npos) << reply->text;
+  EXPECT_EQ(calls.load(), 0);
+  server.stop();
+}
+
+TEST(OpsAdmin, SilentClientDoesNotWedgeAdminSocket) {
+  const std::string path = unique_path("admin_silent", ".sock");
+  AdminServer server;
   std::string err;
-  EXPECT_FALSE(read_admin_frame(sp[1], &frame, &err));
-  ::close(sp[0]);
-  ::close(sp[1]);
+  ASSERT_TRUE(server.start(path, health_only(), &err)) << err;
+
+  // A client that sends three header bytes and then goes silent.
+  std::string frame;
+  net::encode_command(frame, net::FrameType::AdminRequest,
+                      static_cast<std::uint16_t>(AdminCmd::Health), "");
+  net::Fd silent = dial_unix(path);
+  ASSERT_TRUE(net::write_all(silent.get(), frame.data(), 3));
+
+  // The next client still gets its answer...
+  bool ok = false;
+  std::string reply;
+  EXPECT_TRUE(finishes_within(
+      std::chrono::milliseconds(2000),
+      [&] { ok = admin_request(path, AdminCmd::Health, "", &reply, &err); },
+      [&] { silent.reset(); }));
+  EXPECT_TRUE(ok) << err;
+  EXPECT_EQ(reply, "ok\n");
+
+  // ...and stop() returns while another silent client holds a socket.
+  net::Fd silent2 = dial_unix(path);
+  ASSERT_TRUE(net::write_all(silent2.get(), frame.data(), 3));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_TRUE(finishes_within(std::chrono::milliseconds(2000),
+                              [&] { server.stop(); },
+                              [&] { silent2.reset(); }));
 }
 
 TEST(OpsAdmin, ServerRoundTripOkAndErr) {

@@ -352,6 +352,44 @@ TEST(CacheRobustness, InjectedCorruptionTriggersWholeFileFallback) {
   std::remove(path.c_str());
 }
 
+// A v2 cache file exactly as the format's first writer produced it.
+// Pins "the on-disk format is unchanged": it must load to these records
+// and re-serialize byte-identical.
+constexpr char kGoldenCacheV2[] =
+    "# tridiag_autotune tuning cache v2 checksum=49f4fb825c1f2f97\n"
+    "GeForce GTX 280|fp64|21504x64\t30 256 64 strided element 0.0123457\n"
+    "GeForce GTX 470|fp32|16x4096\t8 512 128 coalesced system 3.5\n";
+
+TEST(CacheFormat, GoldenV2FileLoadsAndReserializesByteIdentical) {
+  const std::string path = "/tmp/tda_cache_golden.txt";
+  const std::string copy = "/tmp/tda_cache_golden_copy.txt";
+  cache_files::write_file(path, kGoldenCacheV2);
+  TuningCache loaded;
+  ASSERT_EQ(loaded.load(path), 2u);
+  const auto gt280 =
+      loaded.find(TuningCache::make_key("GeForce GTX 280", 8, 21504, 64));
+  ASSERT_TRUE(gt280.has_value());
+  EXPECT_EQ(gt280->points.stage1_target_systems, 30u);
+  EXPECT_EQ(gt280->points.stage3_system_size, 256u);
+  EXPECT_EQ(gt280->points.thomas_switch, 64u);
+  EXPECT_EQ(gt280->points.variant, kernels::LoadVariant::Strided);
+  EXPECT_EQ(gt280->points.layout, tridiag::BatchLayout::ElementMajor);
+  EXPECT_DOUBLE_EQ(gt280->tuned_ms, 0.0123457);
+  const auto gt470 =
+      loaded.find(TuningCache::make_key("GeForce GTX 470", 4, 16, 4096));
+  ASSERT_TRUE(gt470.has_value());
+  EXPECT_EQ(gt470->points.stage1_target_systems, 8u);
+  EXPECT_EQ(gt470->points.stage3_system_size, 512u);
+  EXPECT_EQ(gt470->points.thomas_switch, 128u);
+  EXPECT_EQ(gt470->points.variant, kernels::LoadVariant::Coalesced);
+  EXPECT_EQ(gt470->points.layout, tridiag::BatchLayout::SystemMajor);
+  EXPECT_DOUBLE_EQ(gt470->tuned_ms, 3.5);
+  ASSERT_TRUE(loaded.save(copy));
+  EXPECT_EQ(cache_files::read_file(copy), kGoldenCacheV2);
+  std::remove(path.c_str());
+  std::remove(copy.c_str());
+}
+
 TEST(DynamicTuner, SecondTuneHitsCache) {
   gpusim::Device dev(gpusim::geforce_gtx_470());
   TuningCache cache;
