@@ -89,15 +89,16 @@ class ChaosProxy {
 
   void stop() {
     stop_.store(true, std::memory_order_relaxed);
-    if (listener_.valid()) {
-      ::shutdown(listener_.get(), SHUT_RDWR);
-      listener_.reset();
-    }
+    // shutdown() wakes the blocked accept(); the fd is closed only after
+    // the accept thread is joined, so it never reads a closed (or
+    // reused) descriptor.
+    if (listener_.valid()) ::shutdown(listener_.get(), SHUT_RDWR);
     {
       std::lock_guard<std::mutex> lock(mu_);
       for (auto& link : links_) link->tear_down();
     }
     if (accept_thread_.joinable()) accept_thread_.join();
+    listener_.reset();
     std::vector<std::thread> threads;
     {
       std::lock_guard<std::mutex> lock(mu_);

@@ -13,7 +13,9 @@
 //
 // Completions arrive on service worker threads. The callback encodes
 // the response, parks it on a mutex-guarded queue and writes one byte
-// to the wake pipe — it never touches the service or the poll thread's
+// to the wake pipe under that same lock (shutdown() closes the pipe
+// under it too, so a late completion can never write to a closed or
+// reused fd) — it never touches the service or the poll thread's
 // state, so the service-mutex -> completions-mutex lock order is the
 // only one that exists. The poll thread swaps the queue out under the
 // lock and does all socket work unlocked.
@@ -258,10 +260,13 @@ class FrontDoor {
       if (err != nullptr) *err = "wake pipe failed";
       return false;
     }
-    wake_rd_ = Fd(fds[0]);
-    wake_wr_ = Fd(fds[1]);
-    set_nonblocking(wake_rd_.get());
-    set_nonblocking(wake_wr_.get());
+    set_nonblocking(fds[0]);
+    set_nonblocking(fds[1]);
+    {
+      std::lock_guard lk(done_mu_);
+      wake_rd_ = Fd(fds[0]);
+      wake_wr_ = Fd(fds[1]);
+    }
     {
       // post() reads running_ under tasks_mu_ from the admin thread.
       std::lock_guard lk(tasks_mu_);
@@ -297,8 +302,11 @@ class FrontDoor {
     run_tasks();
     tcp_listener_.reset();
     unix_listener_.reset();
-    wake_rd_.reset();
-    wake_wr_.reset();
+    {
+      std::lock_guard lk(done_mu_);
+      wake_rd_.reset();
+      wake_wr_.reset();
+    }
     if (!cfg_.unix_path.empty() && unlink_on_shutdown_) {
       ::unlink(cfg_.unix_path.c_str());
     }
@@ -516,6 +524,13 @@ class FrontDoor {
   };
 
   void wake() {
+    std::lock_guard lk(done_mu_);
+    wake_locked();
+  }
+
+  /// Writes the wake byte. Caller holds done_mu_, which also guards the
+  /// pipe's lifetime.
+  void wake_locked() {
     if (wake_wr_.valid()) {
       const char b = 1;
       (void)::write(wake_wr_.get(), &b, 1);
@@ -1135,11 +1150,9 @@ class FrontDoor {
                     d.bytes = bytes;
                     d.idem_key = idem_key;
                     d.resp = std::move(resp);
-                    {
-                      std::lock_guard lk(done_mu_);
-                      done_.push_back(std::move(d));
-                    }
-                    wake();
+                    std::lock_guard lk(done_mu_);
+                    done_.push_back(std::move(d));
+                    wake_locked();
                   });
     }
   }
@@ -1407,7 +1420,7 @@ class FrontDoor {
 
   // --- shared with worker callbacks ---
   std::atomic<std::size_t> service_inflight_{0};
-  std::mutex done_mu_;
+  std::mutex done_mu_;  ///< guards done_ and the wake pipe's fds
   std::vector<Done> done_;
 
   // --- ops surface (admin / snapshot threads -> poll thread) ---

@@ -1,7 +1,9 @@
 #pragma once
 // Solve-service configuration: admission control (bounded queue +
 // backpressure policy), flush triggers for shape-bucketed coalescing,
-// and the multi-device dispatch policy.
+// deadlines, memory budgets and the resilience timings tests tune.
+// Everything else the service does on a timer or a threshold is a named
+// constant below.
 
 #include <cstddef>
 #include <cstdint>
@@ -16,14 +18,7 @@ enum class BackpressurePolicy {
   ShedOldest  ///< the oldest queued request is shed to admit the new one
 };
 
-/// How flushed buckets are spread across the worker devices.
-enum class DispatchPolicy {
-  RoundRobin,  ///< workers take turns
-  LeastLoaded  ///< bucket goes to the worker with fewest queued systems
-};
-
 const char* to_string(BackpressurePolicy p);
-const char* to_string(DispatchPolicy p);
 
 /// One decorrelated-jitter backoff step (AWS-style): a uniform draw
 /// from [base_ms, 3 * prev_ms] capped at max_ms. Pass the previous
@@ -32,66 +27,56 @@ const char* to_string(DispatchPolicy p);
 double decorrelated_backoff_ms(double base_ms, double prev_ms,
                                double max_ms, std::uint64_t& state);
 
-/// Fault-tolerance policy of the service (docs/ROBUSTNESS.md). Every
+/// Device-fault retries on the same worker before failing over.
+inline constexpr int kMaxRetries = 2;
+/// Ceiling of a single jittered retry backoff sleep (wall-clock ms).
+inline constexpr double kRetryBackoffMaxMs = 8.0;
+/// Consecutive device failures that open a worker's circuit breaker.
+inline constexpr int kBreakerThreshold = 3;
+/// Supervisor tick (wall-clock ms): while any worker is busy, or metrics
+/// are enabled, the supervisor samples workers and publishes gauges at
+/// least this often.
+inline constexpr double kSuperviseIntervalMs = 1.0;
+/// Consecutive stall strikes that open a worker's circuit breaker.
+inline constexpr int kStallStrikes = 3;
+
+/// Fault-tolerance timings of the service (docs/ROBUSTNESS.md). Every
 /// solve goes through solver::GuardedSolver (prescreen, chunking,
 /// quarantine bisect, residual postcheck, pivoting CPU fallback); a
-/// batch whose retries are spent fails over to up to (num_workers - 1)
-/// other workers, then to the pivoting CPU solver. Defaults are the
-/// production setting: retries with jittered backoff, breaker armed —
-/// with injection disabled none of it touches the hot path beyond one
-/// O(n) screening pass per system.
+/// device fault is retried kMaxRetries times with decorrelated-jitter
+/// backoff, then the batch fails over to up to (num_workers - 1) other
+/// workers, then to the pivoting CPU solver. The TDA_FAULTS device
+/// sites are always armed on service devices: the service has a
+/// recovery story, bare solver runs stay unarmed.
 struct ResilienceConfig {
-  /// Device-fault retries on the same worker before failing over.
-  int max_retries = 2;
-  /// Base of the retry backoff (wall-clock ms). With jitter on (the
-  /// default), attempt k sleeps a decorrelated-jitter draw from
-  /// [base, 3 * previous sleep] capped at retry_backoff_max_ms; with
-  /// jitter off, attempt k sleeps exactly retry_backoff_ms * 2^k.
+  /// Base of the retry backoff (wall-clock ms): attempt k sleeps a draw
+  /// from [base, 3 * previous sleep] capped at kRetryBackoffMaxMs.
+  /// Jitter keeps workers hit by one correlated fault from retrying in
+  /// lockstep.
   double retry_backoff_ms = 0.25;
-  /// Ceiling of a single jittered backoff sleep (wall-clock ms).
-  double retry_backoff_max_ms = 8.0;
-  /// Decorrelated jitter on the retry backoff. Correlated faults (one
-  /// flaky device failing many workers at once) make synchronized
-  /// exponential waves retry in lockstep; jitter spreads them out.
-  bool retry_jitter = true;
-
-  /// Consecutive device failures that open a worker's circuit breaker.
-  int breaker_threshold = 3;
   /// How long an open breaker keeps the worker out of dispatch before a
   /// half-open probe is allowed (wall-clock ms).
   double breaker_cooldown_ms = 25.0;
-
-  /// Arm the TDA_FAULTS device-level sites (launch/alloc/oom failures)
-  /// on the service's devices. The service has a recovery story, so it
-  /// opts in by default; bare solver runs stay unarmed.
-  bool arm_device_faults = true;
 };
 
-/// In-flight watchdog policy (docs/ROBUSTNESS.md). The watchdog thread
-/// samples every busy worker: a job past its deadline is cancelled
-/// cooperatively (the solver throws at its next stage boundary and the
-/// expired members finish as TimedOut/in-flight, unexpired members are
-/// requeued); a worker whose heartbeat stops advancing collects strikes
-/// and eventually feeds its circuit breaker, taking the stalled device
-/// out of dispatch.
+/// In-flight supervision (docs/ROBUSTNESS.md). Every kSuperviseIntervalMs
+/// the supervisor samples each busy worker: a job past its deadline is
+/// cancelled cooperatively (the solver throws at its next stage boundary
+/// and the expired members finish as TimedOut/in-flight, unexpired
+/// members are requeued); a worker whose heartbeat stops advancing
+/// collects strikes and, after kStallStrikes, opens its circuit breaker.
 struct WatchdogConfig {
-  bool enable = true;
-  /// Sampling period (wall-clock ms).
-  double interval_ms = 1.0;
   /// A busy worker whose solve heartbeat has not advanced for this long
   /// earns a stall strike. Generous by default: simulated solves beat at
   /// stage boundaries many times per wall millisecond, so only a
   /// genuinely stuck worker (injected stall, runaway kernel) trips it.
   double stall_threshold_ms = 50.0;
-  /// Consecutive strikes that open the worker's circuit breaker.
-  int stall_strikes = 3;
 };
 
 struct ServiceConfig {
   /// Max requests admitted but not yet dispatched to a device.
   std::size_t queue_capacity = 4096;
   BackpressurePolicy backpressure = BackpressurePolicy::Block;
-  DispatchPolicy dispatch = DispatchPolicy::LeastLoaded;
 
   /// Size trigger: a (n, dtype) bucket flushes once it holds this many
   /// systems. 1 disables coalescing (one solve per request).
@@ -104,7 +89,7 @@ struct ServiceConfig {
   /// (milliseconds from admission; 0 = no deadline). A request whose
   /// deadline lapses before its bucket is picked up by a worker
   /// completes with SolveStatus::TimedOut (scope Queue); one that lapses
-  /// mid-solve is cancelled by the watchdog at the next stage boundary
+  /// mid-solve is cancelled by the supervisor at the next stage boundary
   /// and completes as TimedOut (scope InFlight).
   double default_deadline_ms = 0.0;
 

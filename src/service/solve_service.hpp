@@ -8,12 +8,11 @@
 //
 //   * callers submit() single systems (or ragged batches, one request
 //     per system) and get std::futures back;
-//   * a scheduler thread buckets pending requests by (n, dtype) shape
+//   * one supervisor thread buckets pending requests by (n, dtype) shape
 //     and coalesces each bucket into ONE batched solve per flush —
 //     triggered by size (flush_systems) or deadline (flush_interval_ms);
-//   * flushed buckets are dispatched across one or more simulated
-//     devices (round-robin or least-loaded), each owned by a worker
-//     thread;
+//   * flushed buckets go to the least-loaded of one or more simulated
+//     devices, each owned by a worker thread;
 //   * all workers share a single thread-safe tuning cache, so a shape
 //     tuned on one device/worker is a cache hit for every later solve;
 //   * admission is bounded (queue_capacity) with a configurable
@@ -25,12 +24,14 @@
 // guards (solver/guards.hpp), so one singular or NaN system returns a
 // typed Singular/NonFinite response while its batchmates complete.
 // Device faults (faults::DeviceFault, injectable via TDA_FAULTS) are
-// retried with exponential backoff, then failed over to another worker
+// retried with jittered backoff, then failed over to another worker
 // and finally to the pivoting CPU path; each worker carries a circuit
 // breaker (consecutive-failure threshold, cooldown, half-open probe)
-// that steers dispatch away from a sick device. A worker thread that
-// dies mid-shift is detected by the scheduler, its job is requeued and
-// the thread restarted — a dead worker never strands its queue.
+// that steers dispatch away from a sick device. The same supervisor
+// thread watches in-flight work: it cancels jobs past their deadline,
+// strikes workers whose heartbeat stalls, and revives a worker thread
+// that died mid-shift with its job requeued — a dead worker never
+// strands its queue. A service over k devices runs k + 1 threads.
 //
 // Telemetry: the service owns a session. Every admitted request gets a
 // trace id (minted here, or adopted from SolveRequest::trace) and a
@@ -46,10 +47,10 @@
 //
 // Thread-safety model: one service mutex guards the buckets, the
 // admission count and every worker's job queue; each simulated Device
-// is touched only by its owning worker thread; the tuning cache and the
-// metrics registry have their own internal locks.
+// is touched only by its owning worker thread; the counters, the tuning
+// cache and the metrics registry have their own internal locks.
 
-#include <atomic>
+#include <iterator>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
@@ -64,6 +65,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -146,12 +148,10 @@ class SolveService {
       gpusim::ThreadPool::global().resize(cfg_.engine_threads);
     }
     telemetry_.tracer.set_clock([this] { return wall_s(Clock::now()); });
-    if (telemetry_.metrics.enabled()) {
-      telemetry_.metrics.set("service.workers",
-                             static_cast<double>(devices.size()));
-      telemetry_.metrics.set("service.queue_capacity",
-                             static_cast<double>(cfg_.queue_capacity));
-    }
+    telemetry_.metrics.set("service.workers",
+                           static_cast<double>(devices.size()));
+    telemetry_.metrics.set("service.queue_capacity",
+                           static_cast<double>(cfg_.queue_capacity));
     workers_.reserve(devices.size());
     for (const auto& spec : devices) {
       workers_.push_back(std::make_unique<Worker>(spec));
@@ -159,25 +159,18 @@ class SolveService {
       // NOT adopt the simulated clock: kernel spans need wall timestamps
       // to nest under the service's wall-clock batch spans.
       workers_.back()->dev.set_telemetry(&telemetry_, /*adopt_clock=*/false);
-      if (cfg_.resilience.arm_device_faults) {
-        workers_.back()->dev.arm_faults();
-      }
+      workers_.back()->dev.arm_faults();
       if (cfg_.mem_budget_bytes > 0) {
         workers_.back()->dev.set_mem_budget(cfg_.mem_budget_bytes);
       }
       total_mem_budget_ += workers_.back()->dev.memory().budget();
     }
-    if (telemetry_.metrics.enabled()) {
-      telemetry_.metrics.set("service.mem_budget_bytes",
-                             static_cast<double>(total_mem_budget_));
-    }
+    telemetry_.metrics.set("service.mem_budget_bytes",
+                           static_cast<double>(total_mem_budget_));
     for (auto& w : workers_) {
       w->thread = std::thread([this, wp = w.get()] { worker_loop(*wp); });
     }
-    scheduler_ = std::thread([this] { scheduler_loop(); });
-    if (cfg_.watchdog.enable) {
-      watchdog_ = std::thread([this] { watchdog_loop(); });
-    }
+    supervisor_ = std::thread([this] { supervisor_loop(); });
   }
 
   ~SolveService() { shutdown(); }
@@ -233,31 +226,23 @@ class SolveService {
                 "request diagonals must have equal length");
 
     std::unique_lock lk(mu_);
-    counters_submitted_.fetch_add(1, std::memory_order_relaxed);
-    if (!accepting_) {
+    count(&Counters::submitted);
+    const auto reject = [&](std::string why = {}) {
       lk.unlock();
       count_terminal(SolveStatus::Rejected);
-      finish(std::move(done), SolveStatus::Rejected);
-      return;
-    }
+      finish(std::move(done), SolveStatus::Rejected, std::move(why));
+    };
+    if (!accepting_) return reject();
     if (pending_ >= cfg_.queue_capacity) {
       switch (cfg_.backpressure) {
         case BackpressurePolicy::Block:
           cv_space_.wait(lk, [this] {
             return pending_ < cfg_.queue_capacity || !accepting_;
           });
-          if (!accepting_) {
-            lk.unlock();
-            count_terminal(SolveStatus::Rejected);
-            finish(std::move(done), SolveStatus::Rejected);
-            return;
-          }
+          if (!accepting_) return reject();
           break;
         case BackpressurePolicy::Reject:
-          lk.unlock();
-          count_terminal(SolveStatus::Rejected);
-          finish(std::move(done), SolveStatus::Rejected);
-          return;
+          return reject();
         case BackpressurePolicy::ShedOldest:
           shed_oldest_locked();
           break;
@@ -283,15 +268,8 @@ class SolveService {
         }
       }
       if (projected() > cap) {
-        counters_mem_rejected_.fetch_add(1, std::memory_order_relaxed);
-        if (telemetry_.metrics.enabled()) {
-          telemetry_.metrics.add("service.mem_rejected");
-        }
-        lk.unlock();
-        count_terminal(SolveStatus::Rejected);
-        finish(std::move(done), SolveStatus::Rejected,
-               "memory admission: projected footprint exceeds budget");
-        return;
+        count(&Counters::mem_rejected, 1, "service.mem_rejected");
+        return reject("memory admission: projected footprint exceeds budget");
       }
     }
 
@@ -326,18 +304,16 @@ class SolveService {
     buckets_[n].push_back(std::move(p));
     ++pending_;
     pending_bytes_ += fp;
-    if (telemetry_.metrics.enabled()) {
-      telemetry_.metrics.add("service.submitted");
-      telemetry_.metrics.observe("service.queue_depth",
-                                 static_cast<double>(pending_));
-    }
+    telemetry_.metrics.add("service.submitted");
+    telemetry_.metrics.observe("service.queue_depth",
+                               static_cast<double>(pending_));
     lk.unlock();
     cv_sched_.notify_one();
   }
 
  public:
   /// Submits every system of a ragged batch (one request each); the
-  /// scheduler re-coalesces equal sizes — possibly together with other
+  /// supervisor re-coalesces equal sizes — possibly together with other
   /// callers' systems. Futures are in system order.
   std::vector<std::future<SolveResponse<T>>> submit_ragged(
       const solver::RaggedBatch<T>& rb) {
@@ -368,37 +344,17 @@ class SolveService {
     }
     cv_sched_.notify_all();
     cv_space_.notify_all();
-    if (scheduler_.joinable()) scheduler_.join();
+    // The supervisor returns only once nothing is queued, in flight or
+    // crashed, so every promise is settled when the join completes.
+    if (supervisor_.joinable()) supervisor_.join();
     {
-      // The scheduler is gone, so shutdown takes over worker supervision:
-      // keep reviving crashed workers until every queue is drained and
-      // nothing is in flight — otherwise a crash during the drain would
-      // strand its requeued job with unfulfilled promises.
-      std::unique_lock lk(mu_);
-      for (;;) {
-        heal_workers_locked();
-        bool busy = false;
-        for (const auto& w : workers_) {
-          if (w->crashed || !w->jobs.empty() || w->queued_systems > 0) {
-            busy = true;
-            break;
-          }
-        }
-        if (!busy) break;
-        cv_sched_.wait_for(lk, std::chrono::milliseconds(1));
-      }
+      std::lock_guard lk(mu_);
       for (auto& w : workers_) w->stop = true;
     }
     for (auto& w : workers_) w->cv.notify_all();
     for (auto& w : workers_) {
       if (w->thread.joinable()) w->thread.join();
     }
-    {
-      std::lock_guard lk(mu_);
-      watchdog_stop_ = true;
-    }
-    cv_watchdog_.notify_all();
-    if (watchdog_.joinable()) watchdog_.join();
     if (!cfg_.cache_path.empty()) cache_.save_merged(cfg_.cache_path);
     std::lock_guard lk(mu_);
     stopped_ = true;
@@ -440,49 +396,8 @@ class SolveService {
   void flush_exports() { env_export_.flush(); }
 
   [[nodiscard]] Counters counters() const {
-    Counters c;
-    c.submitted = counters_submitted_.load(std::memory_order_relaxed);
-    c.completed = counters_completed_.load(std::memory_order_relaxed);
-    c.rejected = counters_rejected_.load(std::memory_order_relaxed);
-    c.shed = counters_shed_.load(std::memory_order_relaxed);
-    c.timed_out = counters_timed_out_.load(std::memory_order_relaxed);
-    c.failed = counters_failed_.load(std::memory_order_relaxed);
-    c.flushes = counters_flushes_.load(std::memory_order_relaxed);
-    c.coalesced_systems =
-        counters_coalesced_.load(std::memory_order_relaxed);
-    c.max_batch_systems = counters_max_batch_.load(std::memory_order_relaxed);
-    c.tunes = counters_tunes_.load(std::memory_order_relaxed);
-    c.device_ms = counters_device_ms_.load(std::memory_order_relaxed);
-    c.singular = counters_singular_.load(std::memory_order_relaxed);
-    c.nonfinite = counters_nonfinite_.load(std::memory_order_relaxed);
-    c.fallbacks = counters_fallbacks_.load(std::memory_order_relaxed);
-    c.quarantined = counters_quarantined_.load(std::memory_order_relaxed);
-    c.retries = counters_retries_.load(std::memory_order_relaxed);
-    c.failovers = counters_failovers_.load(std::memory_order_relaxed);
-    c.cpu_failovers =
-        counters_cpu_failovers_.load(std::memory_order_relaxed);
-    c.worker_restarts =
-        counters_worker_restarts_.load(std::memory_order_relaxed);
-    c.breaker_opens =
-        counters_breaker_opens_.load(std::memory_order_relaxed);
-    c.timed_out_queue =
-        counters_timed_out_queue_.load(std::memory_order_relaxed);
-    c.timed_out_inflight =
-        counters_timed_out_inflight_.load(std::memory_order_relaxed);
-    c.timeout_requeues =
-        counters_timeout_requeues_.load(std::memory_order_relaxed);
-    c.mem_rejected = counters_mem_rejected_.load(std::memory_order_relaxed);
-    c.chunked_solves =
-        counters_chunked_solves_.load(std::memory_order_relaxed);
-    c.chunks = counters_chunks_.load(std::memory_order_relaxed);
-    c.oom_events = counters_oom_events_.load(std::memory_order_relaxed);
-    c.oom_fallbacks =
-        counters_oom_fallbacks_.load(std::memory_order_relaxed);
-    c.watchdog_cancels =
-        counters_watchdog_cancels_.load(std::memory_order_relaxed);
-    c.watchdog_stalls =
-        counters_watchdog_stalls_.load(std::memory_order_relaxed);
-    return c;
+    std::lock_guard lk(counters_mu_);
+    return counters_;
   }
 
   /// Summed device memory budgets of every worker.
@@ -542,8 +457,8 @@ class SolveService {
 
   /// Refreshes the point-in-time gauges: queue depth, per-worker breaker
   /// state and restarts, per-lane engine utilization, buffer-pool hit
-  /// rate and host allocation count. The watchdog calls this every tick;
-  /// callers exporting metrics mid-run may call it directly.
+  /// rate and host allocation count. The supervisor calls this every
+  /// tick; callers exporting metrics mid-run may call it directly.
   void publish_gauges() {
     if (!telemetry_.metrics.enabled()) return;
     {
@@ -582,7 +497,8 @@ class SolveService {
   enum class Breaker { Closed, Open, HalfOpen };
 
   struct Worker {
-    explicit Worker(const gpusim::DeviceSpec& spec) : dev(spec) {}
+    explicit Worker(const gpusim::DeviceSpec& spec)
+        : dev(spec), backoff_rng(reinterpret_cast<std::uintptr_t>(this) | 1u) {}
     gpusim::Device dev;
     std::thread thread;
     std::condition_variable cv;       // waits on the service mutex
@@ -591,7 +507,7 @@ class SolveService {
     std::size_t queued_bytes = 0;     // guarded by the service mutex
     bool stop = false;                // guarded by the service mutex
 
-    // --- watchdog view of the in-flight job (guarded by the service
+    // --- supervisor view of the in-flight job (guarded by the service
     // mutex; the token's own state is atomic) ---
     bool busy = false;  ///< a job is being processed right now
     std::shared_ptr<solver::CancelToken> token;
@@ -604,13 +520,13 @@ class SolveService {
     Breaker breaker = Breaker::Closed;
     int consecutive_failures = 0;
     TimePoint open_until{};   ///< when an Open breaker may half-open
-    bool crashed = false;     ///< thread died; scheduler must revive it
+    bool crashed = false;     ///< thread died; supervisor must revive it
     std::size_t restarts = 0;
 
     /// Decorrelated-jitter stream of the retry backoff (worker thread
     /// only). Seeded from the worker's address so concurrent workers
     /// hit by the same fault desynchronize their retries.
-    std::uint64_t backoff_rng = 0;
+    std::uint64_t backoff_rng;
   };
 
   [[nodiscard]] double wall_s(TimePoint tp) const {
@@ -631,11 +547,19 @@ class SolveService {
     done.deliver(std::move(resp));
   }
 
-  static void finish_timeout(Completion done, TimeoutScope scope) {
+  /// Counts, concludes and answers one request as TimedOut in `scope`.
+  void time_out(Pending& p, TimeoutScope scope, TimePoint now) {
+    count_terminal(SolveStatus::TimedOut);
+    if (scope == TimeoutScope::Queue) {
+      count(&Counters::timed_out_queue, 1, "service.timed_out_queue");
+    } else {
+      count(&Counters::timed_out_inflight, 1, "service.timed_out_inflight");
+    }
+    conclude(p, "timed_out", now);
     SolveResponse<T> resp;
     resp.status = SolveStatus::TimedOut;
     resp.timeout_scope = scope;
-    done.deliver(std::move(resp));
+    p.done.deliver(std::move(resp));
   }
 
   /// Histogram shape label: smallest power-of-two bucket holding n.
@@ -741,60 +665,37 @@ class SolveService {
     return kernels::DeviceBatch<T>::footprint_bytes(1, n);
   }
 
-  void count_timeout_scope(TimeoutScope scope, std::size_t n = 1) {
-    if (scope == TimeoutScope::Queue) {
-      counters_timed_out_queue_.fetch_add(n, std::memory_order_relaxed);
-      if (telemetry_.metrics.enabled()) {
-        telemetry_.metrics.add("service.timed_out_queue",
-                               static_cast<double>(n));
-      }
-    } else if (scope == TimeoutScope::InFlight) {
-      counters_timed_out_inflight_.fetch_add(n, std::memory_order_relaxed);
-      if (telemetry_.metrics.enabled()) {
-        telemetry_.metrics.add("service.timed_out_inflight",
-                               static_cast<double>(n));
-      }
+  /// Adds `delta` to one Counters field and, when the field has a
+  /// `metric`, to that service.* counter (a no-op while metrics are
+  /// disabled). A zero delta touches neither.
+  template <typename V>
+  void count(V Counters::*field, std::type_identity_t<V> delta = 1,
+             const char* metric = nullptr) {
+    if (delta == V{}) return;
+    {
+      std::lock_guard lk(counters_mu_);
+      counters_.*field += delta;
+    }
+    if (metric != nullptr) {
+      telemetry_.metrics.add(metric, static_cast<double>(delta));
     }
   }
 
+  /// Counts `n` requests reaching terminal `status` (indexed by
+  /// SolveStatus).
   void count_terminal(SolveStatus status, std::size_t n = 1) {
-    switch (status) {
-      case SolveStatus::Ok:
-        counters_completed_.fetch_add(n, std::memory_order_relaxed);
-        break;
-      case SolveStatus::Rejected:
-        counters_rejected_.fetch_add(n, std::memory_order_relaxed);
-        if (telemetry_.metrics.enabled())
-          telemetry_.metrics.add("service.rejected", static_cast<double>(n));
-        break;
-      case SolveStatus::Shed:
-        counters_shed_.fetch_add(n, std::memory_order_relaxed);
-        if (telemetry_.metrics.enabled())
-          telemetry_.metrics.add("service.shed", static_cast<double>(n));
-        break;
-      case SolveStatus::TimedOut:
-        counters_timed_out_.fetch_add(n, std::memory_order_relaxed);
-        if (telemetry_.metrics.enabled())
-          telemetry_.metrics.add("service.timed_out",
-                                 static_cast<double>(n));
-        break;
-      case SolveStatus::Failed:
-        counters_failed_.fetch_add(n, std::memory_order_relaxed);
-        if (telemetry_.metrics.enabled())
-          telemetry_.metrics.add("service.failed", static_cast<double>(n));
-        break;
-      case SolveStatus::Singular:
-        counters_singular_.fetch_add(n, std::memory_order_relaxed);
-        if (telemetry_.metrics.enabled())
-          telemetry_.metrics.add("service.singular", static_cast<double>(n));
-        break;
-      case SolveStatus::NonFinite:
-        counters_nonfinite_.fetch_add(n, std::memory_order_relaxed);
-        if (telemetry_.metrics.enabled())
-          telemetry_.metrics.add("service.nonfinite",
-                                 static_cast<double>(n));
-        break;
-    }
+    static constexpr std::pair<std::size_t Counters::*, const char*>
+        kTerminal[] = {
+            {&Counters::completed, "service.solved_systems"},
+            {&Counters::rejected, "service.rejected"},
+            {&Counters::shed, "service.shed"},
+            {&Counters::timed_out, "service.timed_out"},
+            {&Counters::failed, "service.failed"},
+            {&Counters::singular, "service.singular"},
+            {&Counters::nonfinite, "service.nonfinite"},
+        };
+    const auto& [field, metric] = kTerminal[static_cast<int>(status)];
+    count(field, n, metric);
   }
 
   /// Evicts the globally oldest queued request. Returns false when the
@@ -828,10 +729,7 @@ class SolveService {
       auto& dq = it->second;
       for (auto p = dq.begin(); p != dq.end();) {
         if (p->deadline_tp <= now) {
-          count_terminal(SolveStatus::TimedOut);
-          count_timeout_scope(TimeoutScope::Queue);
-          conclude(*p, "timed_out", now);
-          finish_timeout(std::move(p->done), TimeoutScope::Queue);
+          time_out(*p, TimeoutScope::Queue, now);
           p = dq.erase(p);
           --pending_;
           pending_bytes_ -= std::min(pending_bytes_,
@@ -865,88 +763,73 @@ class SolveService {
     if (w.breaker != Breaker::Open) return true;
     if (w.open_until > now) return false;
     w.breaker = Breaker::HalfOpen;
-    if (telemetry_.metrics.enabled()) {
-      telemetry_.metrics.add("service.breaker.half_open");
-    }
+    telemetry_.metrics.add("service.breaker.half_open");
     return true;
   }
 
-  /// Picks the worker for a flush of `systems` systems, steering around
-  /// open breakers; when every breaker is open the least-recently
-  /// opened worker takes the job (its queue feeds the eventual probe).
+  /// The worker with the fewest queued systems among those whose
+  /// breaker admits work, skipping `skip`; nullptr when none admits.
   /// Caller holds mu_.
-  [[nodiscard]] Worker* pick_worker_locked(std::size_t systems) {
-    const TimePoint now = Clock::now();
+  [[nodiscard]] Worker* least_loaded_locked(TimePoint now,
+                                            const Worker* skip) {
     Worker* chosen = nullptr;
-    if (cfg_.dispatch == DispatchPolicy::RoundRobin) {
-      for (std::size_t i = 0; i < workers_.size(); ++i) {
-        Worker* cand = workers_[rr_next_ % workers_.size()].get();
-        ++rr_next_;
-        if (breaker_admits_locked(*cand, now)) {
-          chosen = cand;
-          break;
-        }
-      }
-    } else {
-      for (auto& w : workers_) {
-        if (!breaker_admits_locked(*w, now)) continue;
-        if (chosen == nullptr || w->queued_systems < chosen->queued_systems)
-          chosen = w.get();
-      }
+    for (auto& w : workers_) {
+      if (w.get() == skip || !breaker_admits_locked(*w, now)) continue;
+      if (chosen == nullptr || w->queued_systems < chosen->queued_systems)
+        chosen = w.get();
     }
+    return chosen;
+  }
+
+  /// Picks the worker for a flush, steering around open breakers; when
+  /// every breaker is open the least-recently opened worker takes the job
+  /// (its queue feeds the eventual probe). Caller holds mu_.
+  [[nodiscard]] Worker& pick_worker_locked() {
+    Worker* chosen = least_loaded_locked(Clock::now(), nullptr);
     if (chosen == nullptr) {
       for (auto& w : workers_) {
         if (chosen == nullptr || w->open_until < chosen->open_until)
           chosen = w.get();
       }
     }
-    chosen->queued_systems += systems;
-    return chosen;
+    return *chosen;
+  }
+
+  /// Queues `job` on worker `w` and wakes it. Caller holds mu_.
+  void enqueue_job_locked(Worker& w, Job job) {
+    w.queued_systems += job.members.size();
+    w.queued_bytes += job.members.size() * footprint_of(job.n);
+    w.jobs.push_back(std::move(job));
+    w.cv.notify_one();
+  }
+
+  /// Opens `w`'s breaker for the cooldown. Caller holds mu_.
+  void open_breaker_locked(Worker& w, TimePoint now) {
+    w.breaker = Breaker::Open;
+    w.open_until = now + std::chrono::duration_cast<Clock::duration>(
+                             std::chrono::duration<double, std::milli>(
+                                 cfg_.resilience.breaker_cooldown_ms));
+    count(&Counters::breaker_opens, 1, "service.breaker.open");
   }
 
   /// Breaker bookkeeping after one device attempt. Called by workers
   /// (which do not hold mu_).
   void record_device_result(Worker& w, bool success) {
-    bool opened = false;
-    {
-      std::lock_guard lk(mu_);
-      if (success) {
-        w.consecutive_failures = 0;
-        if (w.breaker != Breaker::Closed) {
-          w.breaker = Breaker::Closed;
-          if (telemetry_.metrics.enabled()) {
-            telemetry_.metrics.add("service.breaker.closed");
-          }
-        }
-        return;
+    std::lock_guard lk(mu_);
+    if (success) {
+      w.consecutive_failures = 0;
+      if (w.breaker != Breaker::Closed) {
+        w.breaker = Breaker::Closed;
+        telemetry_.metrics.add("service.breaker.closed");
       }
-      ++w.consecutive_failures;
-      if (w.breaker == Breaker::HalfOpen ||
-          (w.breaker == Breaker::Closed &&
-           w.consecutive_failures >= cfg_.resilience.breaker_threshold)) {
-        w.breaker = Breaker::Open;
-        w.open_until =
-            Clock::now() +
-            std::chrono::duration_cast<Clock::duration>(
-                std::chrono::duration<double, std::milli>(
-                    cfg_.resilience.breaker_cooldown_ms));
-        opened = true;
-      }
+      return;
     }
-    if (opened) {
-      counters_breaker_opens_.fetch_add(1, std::memory_order_relaxed);
-      if (telemetry_.metrics.enabled()) {
-        telemetry_.metrics.add("service.breaker.open");
-      }
+    ++w.consecutive_failures;
+    if (w.breaker == Breaker::HalfOpen ||
+        (w.breaker == Breaker::Closed &&
+         w.consecutive_failures >= kBreakerThreshold)) {
+      open_breaker_locked(w, Clock::now());
     }
-  }
-
-  /// Any worker thread awaiting revival? Caller holds mu_.
-  [[nodiscard]] bool any_crashed_locked() const {
-    for (const auto& w : workers_) {
-      if (w->crashed) return true;
-    }
-    return false;
   }
 
   /// Joins and respawns every crashed worker thread. Its queue (including
@@ -959,10 +842,7 @@ class SolveService {
       if (w->thread.joinable()) w->thread.join();
       w->crashed = false;
       ++w->restarts;
-      counters_worker_restarts_.fetch_add(1, std::memory_order_relaxed);
-      if (telemetry_.metrics.enabled()) {
-        telemetry_.metrics.add("service.worker_restarts");
-      }
+      count(&Counters::worker_restarts, 1, "service.worker_restarts");
       w->thread = std::thread([this, wp = w.get()] { worker_loop(*wp); });
       w->cv.notify_one();
     }
@@ -1006,45 +886,107 @@ class SolveService {
         pending_bytes_ -=
             std::min(pending_bytes_, take * footprint_of(it->first));
         freed = true;
-        counters_flushes_.fetch_add(1, std::memory_order_relaxed);
-        counters_coalesced_.fetch_add(take, std::memory_order_relaxed);
-        std::size_t prev =
-            counters_max_batch_.load(std::memory_order_relaxed);
-        while (prev < take && !counters_max_batch_.compare_exchange_weak(
-                                  prev, take, std::memory_order_relaxed)) {
+        count(&Counters::flushes, 1, "service.flushes");
+        count(&Counters::coalesced_systems, take);
+        {
+          std::lock_guard clk(counters_mu_);
+          counters_.max_batch_systems =
+              std::max(counters_.max_batch_systems, take);
         }
         if (telemetry_.metrics.enabled()) {
-          telemetry_.metrics.add("service.flushes");
           telemetry_.metrics.add(std::string("service.flush.") + trigger);
           telemetry_.metrics.observe("service.batch_occupancy",
                                      static_cast<double>(take));
           telemetry_.metrics.observe("service.queue_depth",
                                      static_cast<double>(pending_));
         }
-        Worker* w = pick_worker_locked(take);
-        w->queued_bytes += take * footprint_of(it->first);
-        w->jobs.push_back(std::move(job));
-        w->cv.notify_one();
+        enqueue_job_locked(pick_worker_locked(), std::move(job));
       }
       it = dq.empty() ? buckets_.erase(it) : std::next(it);
     }
     if (freed) cv_space_.notify_all();
   }
 
-  void scheduler_loop() {
+  /// Any worker with a job running, queued or awaiting revival? Caller
+  /// holds mu_.
+  [[nodiscard]] bool any_worker_active_locked() const {
+    for (const auto& w : workers_) {
+      if (w->busy || w->crashed || !w->jobs.empty()) return true;
+    }
+    return false;
+  }
+
+  /// The one service thread besides the workers. Each pass revives
+  /// crashed workers, times out and flushes buckets, and — at most every
+  /// kSuperviseIntervalMs — watches in-flight jobs and publishes gauges.
+  /// It sleeps until the next flush/deadline event, or the next tick
+  /// while a worker is active or metrics are enabled, and returns only
+  /// when draining with nothing queued, in flight or crashed.
+  void supervisor_loop() {
+    const auto tick = std::chrono::duration_cast<Clock::duration>(
+        std::chrono::duration<double, std::milli>(kSuperviseIntervalMs));
+    TimePoint next_tick{};
     std::unique_lock lk(mu_);
     for (;;) {
       heal_workers_locked();
       expire_overdue_locked(Clock::now());
       dispatch_ready_locked(Clock::now());
-      if (draining_ && pending_ == 0) return;
-      const TimePoint wake = next_event_locked();
+      const bool active = any_worker_active_locked();
+      const bool done = draining_ && pending_ == 0 && !active;
+      const TimePoint now = Clock::now();
+      if (now >= next_tick || done) {
+        watch_workers_locked(now);
+        if (telemetry_.metrics.enabled()) {
+          publish_service_gauges_locked();
+          publish_engine_gauges();
+        }
+        next_tick = now + tick;
+      }
+      if (done) return;
+      TimePoint wake = next_event_locked();
+      if (active || telemetry_.metrics.enabled()) {
+        wake = std::min(wake, next_tick);
+      }
       if (wake == TimePoint::max()) {
-        cv_sched_.wait(lk, [this] {
-          return draining_ || pending_ > 0 || any_crashed_locked();
-        });
+        cv_sched_.wait(lk);
       } else {
         cv_sched_.wait_until(lk, wake);
+      }
+    }
+  }
+
+  /// Samples every busy worker: cancels jobs past their deadline and
+  /// issues stall strikes when a solve's heartbeat stops advancing;
+  /// kStallStrikes consecutive strikes open the worker's breaker so
+  /// dispatch steers away from the stalled device. Caller holds mu_.
+  void watch_workers_locked(TimePoint now) {
+    const auto stall_threshold =
+        std::chrono::duration_cast<Clock::duration>(
+            std::chrono::duration<double, std::milli>(
+                cfg_.watchdog.stall_threshold_ms));
+    for (auto& wp : workers_) {
+      Worker& w = *wp;
+      if (w.crashed || !w.busy || w.token == nullptr) {
+        w.strikes = 0;
+        continue;
+      }
+      if (w.job_deadline <= now && !w.token->cancelled()) {
+        w.token->cancel();
+        count(&Counters::watchdog_cancels, 1, "service.watchdog.cancels");
+      }
+      const std::uint64_t beats = w.token->beats();
+      if (beats != w.last_beats) {
+        w.last_beats = beats;
+        w.last_progress_tp = now;
+        w.strikes = 0;
+      } else if (now - w.last_progress_tp >= stall_threshold) {
+        ++w.strikes;
+        w.last_progress_tp = now;
+        count(&Counters::watchdog_stalls, 1, "service.watchdog.stalls");
+        if (w.strikes >= kStallStrikes) {
+          w.strikes = 0;
+          if (w.breaker != Breaker::Open) open_breaker_locked(w, now);
+        }
       }
     }
   }
@@ -1062,17 +1004,15 @@ class SolveService {
       auto& inj = faults::FaultInjector::global();
       if (inj.fire(faults::Site::WorkerCrash)) {
         // Simulated thread death. The job is requeued intact (no promise
-        // has been touched yet) and the scheduler revives the thread.
-        if (telemetry_.metrics.enabled()) {
-          telemetry_.metrics.add("service.faults.worker_crash");
-        }
+        // has been touched yet) and the supervisor revives the thread.
+        telemetry_.metrics.add("service.faults.worker_crash");
         w.jobs.push_front(std::move(job));
         w.crashed = true;
         cv_sched_.notify_all();
         return;
       }
 
-      // Publish the in-flight job to the watchdog before dropping the
+      // Publish the in-flight job to the supervisor before dropping the
       // lock: earliest member deadline + a fresh heartbeat token.
       w.busy = true;
       w.token = std::make_shared<solver::CancelToken>();
@@ -1096,102 +1036,28 @@ class SolveService {
     }
   }
 
-  /// Samples every busy worker: cancels jobs past their deadline and
-  /// issues stall strikes when a solve's heartbeat stops advancing;
-  /// enough consecutive strikes open the worker's breaker so dispatch
-  /// steers away from the stalled device.
-  void watchdog_loop() {
-    const auto interval = std::chrono::duration_cast<Clock::duration>(
-        std::chrono::duration<double, std::milli>(
-            std::max(cfg_.watchdog.interval_ms, 0.05)));
-    const auto stall_threshold =
-        std::chrono::duration_cast<Clock::duration>(
-            std::chrono::duration<double, std::milli>(
-                cfg_.watchdog.stall_threshold_ms));
-    std::unique_lock lk(mu_);
-    while (!watchdog_stop_) {
-      const TimePoint now = Clock::now();
-      for (auto& wp : workers_) {
-        Worker& w = *wp;
-        if (w.crashed || !w.busy || w.token == nullptr) {
-          w.strikes = 0;
-          continue;
-        }
-        if (w.job_deadline <= now && !w.token->cancelled()) {
-          w.token->cancel();
-          counters_watchdog_cancels_.fetch_add(1,
-                                               std::memory_order_relaxed);
-          if (telemetry_.metrics.enabled()) {
-            telemetry_.metrics.add("service.watchdog.cancels");
-          }
-        }
-        const std::uint64_t beats = w.token->beats();
-        if (beats != w.last_beats) {
-          w.last_beats = beats;
-          w.last_progress_tp = now;
-          w.strikes = 0;
-        } else if (now - w.last_progress_tp >= stall_threshold) {
-          ++w.strikes;
-          w.last_progress_tp = now;
-          counters_watchdog_stalls_.fetch_add(1,
-                                              std::memory_order_relaxed);
-          if (telemetry_.metrics.enabled()) {
-            telemetry_.metrics.add("service.watchdog.stalls");
-          }
-          if (w.strikes >= cfg_.watchdog.stall_strikes) {
-            w.strikes = 0;
-            if (w.breaker != Breaker::Open) {
-              w.breaker = Breaker::Open;
-              w.open_until =
-                  now + std::chrono::duration_cast<Clock::duration>(
-                            std::chrono::duration<double, std::milli>(
-                                cfg_.resilience.breaker_cooldown_ms));
-              counters_breaker_opens_.fetch_add(
-                  1, std::memory_order_relaxed);
-              if (telemetry_.metrics.enabled()) {
-                telemetry_.metrics.add("service.breaker.open");
-              }
-            }
-          }
-        }
-      }
-      if (telemetry_.metrics.enabled()) {
-        publish_service_gauges_locked();
-        publish_engine_gauges();
-      }
-      cv_watchdog_.wait_for(lk, interval);
-    }
-  }
+  /// How a batch's device attempts ended (solve_with_retries).
+  enum class Outcome { Solved, Cancelled, Exhausted, Failed };
+
+  struct Attempt {
+    Outcome outcome = Outcome::Failed;
+    solver::GuardedSolveResult<T> result;
+    std::size_t retries = 0;
+    std::string error;
+  };
 
   /// Runs one coalesced batch on the worker's device and fulfils every
   /// member promise. No service lock held. `token` is the cancellation
-  /// token the worker published to the watchdog for this job.
+  /// token the worker published to the supervisor for this job.
   void process(Worker& w, Job& job, solver::CancelToken* token) {
-    const TimePoint t_pickup = Clock::now();
-
-    // Requests whose deadline lapsed while queued behind this flush time
-    // out here (scope Queue); everything picked up in time starts
-    // solving under the watchdog's in-flight deadline enforcement.
-    std::vector<Pending> live;
-    live.reserve(job.members.size());
-    for (auto& p : job.members) {
-      if (p.deadline_tp <= t_pickup) {
-        count_terminal(SolveStatus::TimedOut);
-        count_timeout_scope(TimeoutScope::Queue);
-        conclude(p, "timed_out", t_pickup);
-        finish_timeout(std::move(p.done), TimeoutScope::Queue);
-      } else {
-        live.push_back(std::move(p));
-      }
-    }
+    std::vector<Pending> live = pick_up(job);
     if (live.empty()) return;
 
     // Install the primary member's trace context as this worker thread's
     // ambient parent and open a "batch" span under it: every span the
     // solve emits below (tuner, solver stages, chunk splits, kernel
     // launches, CPU fallback) nests under the batch via the thread-local
-    // span stack. Batchmates riding along carry a link attribute back to
-    // the shared batch trace on their own roots.
+    // span stack.
     auto& tr = telemetry_.tracer;
     telemetry::TraceContext bctx;
     if (tr.enabled() && live.front().root != telemetry::kInvalidSpan) {
@@ -1200,91 +1066,129 @@ class SolveService {
     }
     telemetry::TraceScope trace_scope(&tr, bctx);
     telemetry::ScopedSpan batch_span(tr, "batch", "service");
-    if (batch_span.active()) {
-      batch_span.attr("n", static_cast<double>(job.n));
-      batch_span.attr("systems", static_cast<double>(live.size()));
-      batch_span.attr("device", w.dev.spec().name);
-      batch_span.attr("trigger", job.trigger);
-      if (job.failovers > 0) {
-        batch_span.attr("failovers", static_cast<double>(job.failovers));
+    annotate_batch(batch_span, bctx, w, job, live);
+    inject_stall();
+
+    tridiag::TridiagBatch<T> batch = gather(live, job.n);
+    const TimePoint t_solve0 = Clock::now();
+    Attempt at = solve_with_retries(w, batch, token, batch_span);
+    if (at.outcome == Outcome::Cancelled) {
+      requeue_or_expire(live, job.n);
+      return;
+    }
+    if (at.outcome == Outcome::Exhausted) {
+      if (fail_over(w, job, live)) return;
+      solve_on_cpu(batch, at);
+    }
+    const TimePoint t_solve1 = Clock::now();
+    if (at.outcome == Outcome::Failed) {
+      count_terminal(SolveStatus::Failed, live.size());
+      for (auto& p : live) {
+        conclude(p, "failed", t_solve1);
+        finish(std::move(p.done), SolveStatus::Failed, at.error);
       }
-      if (bctx.valid()) {
-        const std::string hex = telemetry::trace_id_hex(bctx.trace_id);
-        for (std::size_t i = 1; i < live.size(); ++i) {
-          if (live[i].root != telemetry::kInvalidSpan) {
-            tr.attr(live[i].root, "batch_trace", hex);
-          }
-        }
+      return;
+    }
+    deliver(w, job, live, batch, at, t_solve1);
+    emit_phase_spans(w, job, live.size(), at, bctx, batch_span, t_solve0,
+                     t_solve1);
+  }
+
+  /// Pickup filter: members whose deadline lapsed while queued behind
+  /// this flush time out here (scope Queue); the rest are returned and
+  /// solve under the supervisor's in-flight deadline enforcement.
+  std::vector<Pending> pick_up(Job& job) {
+    const TimePoint now = Clock::now();
+    std::vector<Pending> live;
+    live.reserve(job.members.size());
+    for (auto& p : job.members) {
+      if (p.deadline_tp <= now) {
+        time_out(p, TimeoutScope::Queue, now);
+      } else {
+        live.push_back(std::move(p));
       }
     }
+    return live;
+  }
 
+  /// Stamps the batch span; batchmates riding along carry a link
+  /// attribute back to the shared batch trace on their own roots.
+  void annotate_batch(telemetry::ScopedSpan& span,
+                      const telemetry::TraceContext& bctx, const Worker& w,
+                      const Job& job, const std::vector<Pending>& live) {
+    if (!span.active()) return;
+    span.attr("n", static_cast<double>(job.n));
+    span.attr("systems", static_cast<double>(live.size()));
+    span.attr("device", w.dev.spec().name);
+    span.attr("trigger", job.trigger);
+    if (job.failovers > 0) {
+      span.attr("failovers", static_cast<double>(job.failovers));
+    }
+    if (!bctx.valid()) return;
+    const std::string hex = telemetry::trace_id_hex(bctx.trace_id);
+    for (std::size_t i = 1; i < live.size(); ++i) {
+      if (live[i].root != telemetry::kInvalidSpan) {
+        telemetry_.tracer.attr(live[i].root, "batch_trace", hex);
+      }
+    }
+  }
+
+  /// WorkerStall injection: sleeps mid-job, after the pickup filter, so
+  /// a deadline lapsing during the sleep is the supervisor's to enforce
+  /// and the in-flight timeout path is exercised end to end.
+  void inject_stall() {
     auto& inj = faults::FaultInjector::global();
-    if (inj.fire(faults::Site::WorkerStall)) {
-      // Stall mid-job, after the pickup filter: a deadline lapsing
-      // during the sleep is the watchdog's to enforce, so an injected
-      // stall exercises the in-flight timeout path end to end.
-      if (telemetry_.metrics.enabled()) {
-        telemetry_.metrics.add("service.faults.worker_stall");
-      }
-      std::this_thread::sleep_for(
-          std::chrono::duration<double, std::milli>(
-              inj.config().stall_ms));
-    }
+    if (!inj.fire(faults::Site::WorkerStall)) return;
+    telemetry_.metrics.add("service.faults.worker_stall");
+    std::this_thread::sleep_for(
+        std::chrono::duration<double, std::milli>(inj.config().stall_ms));
+  }
 
+  /// Packs the live members into one system-major batch, then poisons
+  /// systems on their way to the device when the poison sites fire, so
+  /// the guards and quarantine get exercised end to end.
+  tridiag::TridiagBatch<T> gather(const std::vector<Pending>& live,
+                                  std::size_t n) {
     const std::size_t m = live.size();
-    const std::size_t n = job.n;
     tridiag::TridiagBatch<T> batch(m, n);
     for (std::size_t i = 0; i < m; ++i) {
-      std::copy(live[i].a.begin(), live[i].a.end(),
-                batch.a().data() + i * n);
-      std::copy(live[i].b.begin(), live[i].b.end(),
-                batch.b().data() + i * n);
-      std::copy(live[i].c.begin(), live[i].c.end(),
-                batch.c().data() + i * n);
-      std::copy(live[i].d.begin(), live[i].d.end(),
-                batch.d().data() + i * n);
+      std::copy(live[i].a.begin(), live[i].a.end(), batch.a().data() + i * n);
+      std::copy(live[i].b.begin(), live[i].b.end(), batch.b().data() + i * n);
+      std::copy(live[i].c.begin(), live[i].c.end(), batch.c().data() + i * n);
+      std::copy(live[i].d.begin(), live[i].d.end(), batch.d().data() + i * n);
     }
-
-    // Poison injection: contaminate systems on their way to the device
-    // so the guards and quarantine get exercised end-to-end.
-    if (inj.enabled()) {
-      for (std::size_t i = 0; i < m; ++i) {
-        faults::Poison kind{};
-        bool hit = false;
-        if (inj.fire(faults::Site::PoisonNaN)) {
-          kind = faults::Poison::NaN;
-          hit = true;
-        } else if (inj.fire(faults::Site::PoisonZeroPivot)) {
-          kind = faults::Poison::ZeroPivot;
-          hit = true;
-        }
-        if (hit) {
-          faults::poison_system<T>(
-              batch.a().subspan(i * n, n), batch.b().subspan(i * n, n),
-              batch.c().subspan(i * n, n), batch.d().subspan(i * n, n),
-              kind);
-          if (telemetry_.metrics.enabled()) {
-            telemetry_.metrics.add("service.faults.poisoned");
-          }
-        }
+    auto& inj = faults::FaultInjector::global();
+    if (!inj.enabled()) return batch;
+    for (std::size_t i = 0; i < m; ++i) {
+      faults::Poison kind{};
+      if (inj.fire(faults::Site::PoisonNaN)) {
+        kind = faults::Poison::NaN;
+      } else if (inj.fire(faults::Site::PoisonZeroPivot)) {
+        kind = faults::Poison::ZeroPivot;
+      } else {
+        continue;
       }
+      faults::poison_system<T>(
+          batch.a().subspan(i * n, n), batch.b().subspan(i * n, n),
+          batch.c().subspan(i * n, n), batch.d().subspan(i * n, n), kind);
+      telemetry_.metrics.add("service.faults.poisoned");
     }
+    return batch;
+  }
 
-    const auto& res = cfg_.resilience;
-    const TimePoint t_solve0 = Clock::now();
-    solver::GuardedSolveResult<T> result;
-    std::size_t batch_retries = 0;
-    bool solved = false;
-    bool device_exhausted = false;
-    bool cancelled = false;
-    std::string error;
-    // Decorrelated-jitter state for the retry backoff: one stream per
-    // worker so correlated faults don't retry in lockstep across
-    // workers (the stream survives batches — that's fine, any seed is
-    // as good as another).
-    double backoff_prev_ms = 0.0;
-
-    for (int attempt = 0; !solved; ++attempt) {
+  /// Tunes and solves `batch` on the worker's device. A device fault is
+  /// retried kMaxRetries times after a decorrelated-jitter backoff drawn
+  /// from the worker's own stream (so correlated faults don't retry in
+  /// lockstep across workers), then reported Exhausted. GuardedSolver
+  /// absorbs numerical errors and OutOfMemory (genuine or injected) by
+  /// chunking and bisecting down to a CPU-fallback floor, so anything
+  /// else that escapes is Failed.
+  Attempt solve_with_retries(Worker& w, tridiag::TridiagBatch<T>& batch,
+                             solver::CancelToken* token,
+                             telemetry::ScopedSpan& batch_span) {
+    Attempt at;
+    double backoff_ms = 0.0;
+    for (int attempt = 0;; ++attempt) {
       try {
         // The tuning search is cost-model introspection (hundreds of
         // cost-only launches), not production traffic: run it with the
@@ -1293,10 +1197,10 @@ class SolveService {
         const bool armed = w.dev.faults_armed();
         w.dev.arm_faults(false);
         tuning::DynamicTuner<T> tuner(w.dev, &cache_);
-        const auto tuned = tuner.tune({m, n});
+        const auto tuned =
+            tuner.tune({batch.num_systems(), batch.system_size()});
         w.dev.arm_faults(armed);
-        if (!tuned.from_cache)
-          counters_tunes_.fetch_add(1, std::memory_order_relaxed);
+        if (!tuned.from_cache) count(&Counters::tunes);
         // The tuned layout decides which pipeline this coalesced batch
         // takes (staged PCR vs interleaved SIMD Thomas) — surface it on
         // the batch span so a trace shows the choice per flush.
@@ -1306,202 +1210,119 @@ class SolveService {
         }
         solver::GpuTridiagonalSolver<T> solver(w.dev, tuned.points);
         solver.set_cancel_token(token);
-        // GuardedSolver splits the batch when its device footprint
-        // exceeds the worker's memory budget and absorbs OutOfMemory
-        // (genuine or injected) and numerical errors by bisecting down
-        // to a CPU-fallback floor — so neither reaches the retry loop
-        // below.
         solver::GuardedSolver<T> guarded(w.dev, solver);
-        result = guarded.solve(batch);
+        at.result = guarded.solve(batch);
         record_device_result(w, true);
-        solved = true;
+        at.outcome = Outcome::Solved;
+        return at;
       } catch (const solver::SolveCancelled&) {
-        cancelled = true;
-        break;
+        at.outcome = Outcome::Cancelled;
+        return at;
       } catch (const faults::DeviceFault& e) {
         record_device_result(w, false);
-        if (telemetry_.metrics.enabled()) {
-          telemetry_.metrics.add("service.faults.device");
+        telemetry_.metrics.add("service.faults.device");
+        if (attempt >= kMaxRetries) {
+          at.outcome = Outcome::Exhausted;
+          at.error = e.what();
+          return at;
         }
-        if (attempt < res.max_retries) {
-          ++batch_retries;
-          counters_retries_.fetch_add(1, std::memory_order_relaxed);
-          if (telemetry_.metrics.enabled()) {
-            telemetry_.metrics.add("service.retries");
-          }
-          if (res.retry_backoff_ms > 0.0) {
-            double sleep_ms;
-            if (res.retry_jitter) {
-              if (w.backoff_rng == 0) {
-                w.backoff_rng =
-                    reinterpret_cast<std::uintptr_t>(&w) | 1u;
-              }
-              sleep_ms = decorrelated_backoff_ms(
-                  res.retry_backoff_ms, backoff_prev_ms,
-                  res.retry_backoff_max_ms, w.backoff_rng);
-              backoff_prev_ms = sleep_ms;
-            } else {
-              sleep_ms = res.retry_backoff_ms *
-                         static_cast<double>(1 << attempt);
-            }
-            std::this_thread::sleep_for(
-                std::chrono::duration<double, std::milli>(sleep_ms));
-          }
-          continue;
-        }
-        device_exhausted = true;
-        error = e.what();
-        break;
+        ++at.retries;
+        count(&Counters::retries, 1, "service.retries");
+        backoff_ms = decorrelated_backoff_ms(cfg_.resilience.retry_backoff_ms,
+                                             backoff_ms, kRetryBackoffMaxMs,
+                                             w.backoff_rng);
+        std::this_thread::sleep_for(
+            std::chrono::duration<double, std::milli>(backoff_ms));
       } catch (const std::exception& e) {
-        // Numerical errors and OOM are absorbed by the guards; anything
-        // else here is non-retryable.
-        error = e.what();
-        break;
+        at.error = e.what();
+        return at;
       }
     }
+  }
 
-    if (cancelled) {
-      // The watchdog cancelled this batch mid-flight. Members whose
-      // deadline has lapsed finish as TimedOut (scope InFlight); the
-      // rest are requeued at the front of their bucket so a later,
-      // smaller flush can still make their deadline. During the drain
-      // nothing would dispatch a requeue, so everything times out.
-      const TimePoint now = Clock::now();
-      std::vector<Pending> requeue;
-      std::unique_lock lk(mu_);
-      for (auto& p : live) {
-        if (!draining_ && p.deadline_tp > now) {
-          // Requeued members keep their root span open: the re-dispatch
-          // emits a second batch span under the same request tree.
-          requeue.push_back(std::move(p));
-        } else {
-          count_terminal(SolveStatus::TimedOut);
-          count_timeout_scope(TimeoutScope::InFlight);
-          conclude(p, "timed_out", now);
-          finish_timeout(std::move(p.done), TimeoutScope::InFlight);
-        }
+  /// After a supervisor cancel: members whose deadline has lapsed finish
+  /// as TimedOut (scope InFlight); the rest are requeued at the front of
+  /// their bucket so a later, smaller flush can still make their
+  /// deadline. Requeued members keep their root span open, so the
+  /// re-dispatch emits a second batch span under the same request tree.
+  /// During the drain nothing would dispatch a requeue, so everything
+  /// times out.
+  void requeue_or_expire(std::vector<Pending>& live, std::size_t n) {
+    const TimePoint now = Clock::now();
+    std::vector<Pending> requeue;
+    std::lock_guard lk(mu_);
+    for (auto& p : live) {
+      if (!draining_ && p.deadline_tp > now) {
+        requeue.push_back(std::move(p));
+      } else {
+        time_out(p, TimeoutScope::InFlight, now);
       }
-      if (!requeue.empty()) {
-        counters_timeout_requeues_.fetch_add(requeue.size(),
-                                             std::memory_order_relaxed);
-        if (telemetry_.metrics.enabled()) {
-          telemetry_.metrics.add("service.timeout_requeues",
-                                 static_cast<double>(requeue.size()));
-        }
-        auto& dq = buckets_[n];
-        for (auto it = requeue.rbegin(); it != requeue.rend(); ++it) {
-          dq.push_front(std::move(*it));
-        }
-        pending_ += requeue.size();
-        pending_bytes_ += requeue.size() * footprint_of(n);
-        cv_sched_.notify_all();
-      }
-      return;
     }
+    if (requeue.empty()) return;
+    count(&Counters::timeout_requeues, requeue.size(),
+          "service.timeout_requeues");
+    auto& dq = buckets_[n];
+    dq.insert(dq.begin(), std::make_move_iterator(requeue.begin()),
+              std::make_move_iterator(requeue.end()));
+    pending_ += requeue.size();
+    pending_bytes_ += requeue.size() * footprint_of(n);
+    cv_sched_.notify_all();
+  }
 
-    if (!solved && device_exhausted) {
-      // Retries on this device are spent. Hand the whole job to another
-      // worker (bounded by the pool size so it cannot ping-pong
-      // forever), or solve it on the CPU as the last resort.
-      if (workers_.size() > 1 && job.failovers + 1 < workers_.size()) {
-        std::lock_guard lk(mu_);
-        Worker* alt = nullptr;
-        const TimePoint now = Clock::now();
-        for (auto& cand : workers_) {
-          if (cand.get() == &w) continue;
-          if (!breaker_admits_locked(*cand, now)) continue;
-          if (alt == nullptr || cand->queued_systems < alt->queued_systems)
-            alt = cand.get();
-        }
-        if (alt != nullptr) {
-          ++job.failovers;
-          job.members = std::move(live);
-          alt->queued_systems += job.members.size();
-          alt->queued_bytes += job.members.size() * footprint_of(n);
-          alt->jobs.push_back(std::move(job));
-          alt->cv.notify_one();
-          counters_failovers_.fetch_add(1, std::memory_order_relaxed);
-          if (telemetry_.metrics.enabled()) {
-            telemetry_.metrics.add("service.failovers");
-          }
-          return;
-        }
-      }
-      counters_cpu_failovers_.fetch_add(1, std::memory_order_relaxed);
-      if (telemetry_.metrics.enabled()) {
-        telemetry_.metrics.add("service.cpu_failovers");
-      }
-      result = {};
-      result.status.resize(m);
-      solver::fallback_range(batch, 0, m, result.status);
-      result.tally();
-      solved = true;
-      error.clear();
-    }
-    const TimePoint t_solve1 = Clock::now();
+  /// Hands a job whose retries are spent to the least-loaded other
+  /// worker — at most num_workers - 1 times, so it cannot ping-pong
+  /// forever. False when no other worker may take it.
+  bool fail_over(Worker& w, Job& job, std::vector<Pending>& live) {
+    if (job.failovers + 1 >= workers_.size()) return false;
+    std::lock_guard lk(mu_);
+    Worker* alt = least_loaded_locked(Clock::now(), &w);
+    if (alt == nullptr) return false;
+    ++job.failovers;
+    job.members = std::move(live);
+    enqueue_job_locked(*alt, std::move(job));
+    count(&Counters::failovers, 1, "service.failovers");
+    return true;
+  }
 
-    if (!solved) {
-      count_terminal(SolveStatus::Failed, m);
-      for (auto& p : live) {
-        conclude(p, "failed", t_solve1);
-        finish(std::move(p.done), SolveStatus::Failed, error);
-      }
-      return;
-    }
+  /// The last resort for an exhausted batch: the pivoting CPU solver.
+  void solve_on_cpu(tridiag::TridiagBatch<T>& batch, Attempt& at) {
+    count(&Counters::cpu_failovers, 1, "service.cpu_failovers");
+    at.result = {};
+    at.result.status.resize(batch.num_systems());
+    solver::fallback_range(batch, 0, batch.num_systems(), at.result.status);
+    at.result.tally();
+    at.outcome = Outcome::Solved;
+  }
 
-    const std::size_t n_solved = result.gpu_solved + result.fallback_used;
-    counters_device_ms_.fetch_add(result.stats.total_ms,
-                                  std::memory_order_relaxed);
+  /// Counts a solved batch, then answers every member with its own
+  /// status, solution and timings.
+  void deliver(Worker& w, const Job& job, std::vector<Pending>& live,
+               const tridiag::TridiagBatch<T>& batch, const Attempt& at,
+               TimePoint t_solve1) {
+    const auto& r = at.result;
+    const std::size_t m = live.size();
+    const std::size_t n = job.n;
     // Account BEFORE fulfilling promises: anyone who has observed a
     // future resolve must see counters that include that request.
-    count_terminal(SolveStatus::Ok, n_solved);
-    if (result.singular > 0) {
-      count_terminal(SolveStatus::Singular, result.singular);
-    }
-    if (result.nonfinite > 0) {
-      count_terminal(SolveStatus::NonFinite, result.nonfinite);
-    }
-    counters_fallbacks_.fetch_add(result.fallback_used,
-                                  std::memory_order_relaxed);
-    counters_quarantined_.fetch_add(result.quarantined,
-                                    std::memory_order_relaxed);
-    counters_chunks_.fetch_add(result.chunks, std::memory_order_relaxed);
-    if (result.chunks > 1) {
-      counters_chunked_solves_.fetch_add(1, std::memory_order_relaxed);
-    }
-    counters_oom_events_.fetch_add(result.oom_events,
-                                   std::memory_order_relaxed);
-    counters_oom_fallbacks_.fetch_add(result.oom_fallback_systems,
-                                      std::memory_order_relaxed);
-    if (telemetry_.metrics.enabled()) {
-      auto& mx = telemetry_.metrics;
-      if (result.chunks > 1) {
-        mx.add("service.chunked_solves");
-        mx.add("service.chunks", static_cast<double>(result.chunks));
-      }
-      if (result.oom_events > 0) {
-        mx.add("service.oom_events",
-               static_cast<double>(result.oom_events));
-      }
-      if (result.oom_fallback_systems > 0) {
-        mx.add("service.oom_fallbacks",
-               static_cast<double>(result.oom_fallback_systems));
-      }
-      mx.observe("service.solve_ms", result.stats.total_ms);
-      mx.add("service.solved_systems", static_cast<double>(n_solved));
-      if (result.fallback_used > 0) {
-        mx.add("service.fallback_used",
-               static_cast<double>(result.fallback_used));
-      }
-      if (result.quarantined > 0) {
-        mx.add("service.quarantined",
-               static_cast<double>(result.quarantined));
-      }
-    }
+    count(&Counters::device_ms, r.stats.total_ms);
+    count_terminal(SolveStatus::Ok, r.gpu_solved + r.fallback_used);
+    count_terminal(SolveStatus::Singular, r.singular);
+    count_terminal(SolveStatus::NonFinite, r.nonfinite);
+    count(&Counters::fallbacks, r.fallback_used, "service.fallback_used");
+    count(&Counters::quarantined, r.quarantined, "service.quarantined");
+    const bool chunked = r.chunks > 1;
+    count(&Counters::chunks, r.chunks, chunked ? "service.chunks" : nullptr);
+    count(&Counters::chunked_solves, chunked ? 1 : 0,
+          "service.chunked_solves");
+    count(&Counters::oom_events, r.oom_events, "service.oom_events");
+    count(&Counters::oom_fallbacks, r.oom_fallback_systems,
+          "service.oom_fallbacks");
+    telemetry_.metrics.observe("service.solve_ms", r.stats.total_ms);
+    auto& tr = telemetry_.tracer;
     for (std::size_t i = 0; i < m; ++i) {
       SolveResponse<T> resp;
       const char* outcome = "ok";
-      switch (result.status[i]) {
+      switch (r.status[i]) {
         case solver::SystemStatus::Ok:
           resp.status = SolveStatus::Ok;
           break;
@@ -1527,62 +1348,62 @@ class SolveService {
       }
       resp.trace_id = live[i].ctx.trace_id;
       resp.batch_systems = m;
-      resp.retries = batch_retries;
-      resp.chunks = result.chunks;
+      resp.retries = at.retries;
+      resp.chunks = r.chunks;
       resp.wait_ms = std::chrono::duration<double, std::milli>(
                          job.flush_tp - live[i].enqueue_tp)
                          .count();
-      resp.solve_ms = result.stats.total_ms;
+      resp.solve_ms = r.stats.total_ms;
       resp.device = w.dev.spec().name;
-      if (telemetry_.metrics.enabled()) {
-        telemetry_.metrics.observe("service.wait_ms", resp.wait_ms);
-        telemetry_.metrics.observe(
-            "service.e2e_ms", std::chrono::duration<double, std::milli>(
-                                  t_solve1 - live[i].enqueue_tp)
-                                  .count());
-      }
+      telemetry_.metrics.observe("service.wait_ms", resp.wait_ms);
+      telemetry_.metrics.observe(
+          "service.e2e_ms", std::chrono::duration<double, std::milli>(
+                                t_solve1 - live[i].enqueue_tp)
+                                .count());
       if (live[i].root != telemetry::kInvalidSpan) {
         tr.attr(live[i].root, "device", w.dev.spec().name);
-        if (batch_retries > 0) {
-          tr.attr(live[i].root, "retries",
-                  static_cast<double>(batch_retries));
+        if (at.retries > 0) {
+          tr.attr(live[i].root, "retries", static_cast<double>(at.retries));
         }
       }
       conclude(live[i], outcome, t_solve1);
       live[i].done.deliver(std::move(resp));
     }
-    const TimePoint t_done = Clock::now();
+  }
 
-    if (tr.enabled()) {
-      // Whole spans with pre-measured wall timestamps, parented
-      // explicitly: "enqueue" predates the batch span so it hangs off
-      // the request root; the scheduling phases nest under the batch.
-      const telemetry::TraceContext under_batch{
-          bctx.trace_id, batch_span.active() ? batch_span.id() : bctx.parent};
-      const auto span = [&](const char* name, TimePoint b, TimePoint e,
-                            telemetry::TraceContext ctx) {
-        const auto id =
-            tr.emit_at(name, "service", wall_s(b), wall_s(e), ctx);
-        tr.attr(id, "n", static_cast<double>(n));
-        tr.attr(id, "systems", static_cast<double>(m));
-        tr.attr(id, "device", w.dev.spec().name);
-        return id;
-      };
-      const auto enq =
-          span("enqueue", job.oldest_enqueue_tp, job.flush_tp, bctx);
-      tr.attr(enq, "trigger", job.trigger);
-      span("flush", job.flush_tp, t_solve0, under_batch);
-      const auto slv = span("solve", t_solve0, t_solve1, under_batch);
-      tr.attr(slv, "sim_ms", result.stats.total_ms);
-      if (batch_retries > 0) {
-        tr.attr(slv, "retries", static_cast<double>(batch_retries));
-      }
-      if (result.fallback_used > 0) {
-        tr.attr(slv, "fallbacks",
-                static_cast<double>(result.fallback_used));
-      }
-      span("complete", t_solve1, t_done, under_batch);
+  /// Whole spans with pre-measured wall timestamps, parented explicitly:
+  /// "enqueue" predates the batch span so it hangs off the request root;
+  /// the scheduling phases nest under the batch.
+  void emit_phase_spans(const Worker& w, const Job& job, std::size_t m,
+                        const Attempt& at,
+                        const telemetry::TraceContext& bctx,
+                        const telemetry::ScopedSpan& batch_span,
+                        TimePoint t_solve0, TimePoint t_solve1) {
+    auto& tr = telemetry_.tracer;
+    if (!tr.enabled()) return;
+    const TimePoint t_done = Clock::now();
+    const telemetry::TraceContext under_batch{
+        bctx.trace_id, batch_span.active() ? batch_span.id() : bctx.parent};
+    const auto span = [&](const char* name, TimePoint b, TimePoint e,
+                          telemetry::TraceContext ctx) {
+      const auto id = tr.emit_at(name, "service", wall_s(b), wall_s(e), ctx);
+      tr.attr(id, "n", static_cast<double>(job.n));
+      tr.attr(id, "systems", static_cast<double>(m));
+      tr.attr(id, "device", w.dev.spec().name);
+      return id;
+    };
+    const auto enq = span("enqueue", job.oldest_enqueue_tp, job.flush_tp, bctx);
+    tr.attr(enq, "trigger", job.trigger);
+    span("flush", job.flush_tp, t_solve0, under_batch);
+    const auto slv = span("solve", t_solve0, t_solve1, under_batch);
+    tr.attr(slv, "sim_ms", at.result.stats.total_ms);
+    if (at.retries > 0) {
+      tr.attr(slv, "retries", static_cast<double>(at.retries));
     }
+    if (at.result.fallback_used > 0) {
+      tr.attr(slv, "fallbacks", static_cast<double>(at.result.fallback_used));
+    }
+    span("complete", t_solve1, t_done, under_batch);
   }
 
   ServiceConfig cfg_;
@@ -1595,16 +1416,12 @@ class SolveService {
   std::size_t pending_ = 0;
   std::size_t pending_bytes_ = 0;  ///< device footprint of queued requests
   std::uint64_t next_seq_ = 0;
-  std::uint64_t rr_next_ = 0;
   bool accepting_ = true;
   bool draining_ = false;
   bool stopped_ = false;
-  bool watchdog_stop_ = false;  // guarded by mu_
 
   std::vector<std::unique_ptr<Worker>> workers_;
-  std::thread scheduler_;
-  std::thread watchdog_;
-  std::condition_variable cv_watchdog_;
+  std::thread supervisor_;
   std::size_t total_mem_budget_ = 0;  ///< summed worker budgets (const)
 
   tuning::TuningCache cache_;
@@ -1612,36 +1429,8 @@ class SolveService {
   telemetry::Telemetry telemetry_;
   telemetry::EnvExport env_export_{telemetry_, "service"};
 
-  std::atomic<std::size_t> counters_submitted_{0};
-  std::atomic<std::size_t> counters_completed_{0};
-  std::atomic<std::size_t> counters_rejected_{0};
-  std::atomic<std::size_t> counters_shed_{0};
-  std::atomic<std::size_t> counters_timed_out_{0};
-  std::atomic<std::size_t> counters_failed_{0};
-  std::atomic<std::size_t> counters_flushes_{0};
-  std::atomic<std::size_t> counters_coalesced_{0};
-  std::atomic<std::size_t> counters_max_batch_{0};
-  std::atomic<std::size_t> counters_tunes_{0};
-  std::atomic<double> counters_device_ms_{0.0};
-  std::atomic<std::size_t> counters_singular_{0};
-  std::atomic<std::size_t> counters_nonfinite_{0};
-  std::atomic<std::size_t> counters_fallbacks_{0};
-  std::atomic<std::size_t> counters_quarantined_{0};
-  std::atomic<std::size_t> counters_retries_{0};
-  std::atomic<std::size_t> counters_failovers_{0};
-  std::atomic<std::size_t> counters_cpu_failovers_{0};
-  std::atomic<std::size_t> counters_worker_restarts_{0};
-  std::atomic<std::size_t> counters_breaker_opens_{0};
-  std::atomic<std::size_t> counters_timed_out_queue_{0};
-  std::atomic<std::size_t> counters_timed_out_inflight_{0};
-  std::atomic<std::size_t> counters_timeout_requeues_{0};
-  std::atomic<std::size_t> counters_mem_rejected_{0};
-  std::atomic<std::size_t> counters_chunked_solves_{0};
-  std::atomic<std::size_t> counters_chunks_{0};
-  std::atomic<std::size_t> counters_oom_events_{0};
-  std::atomic<std::size_t> counters_oom_fallbacks_{0};
-  std::atomic<std::size_t> counters_watchdog_cancels_{0};
-  std::atomic<std::size_t> counters_watchdog_stalls_{0};
+  mutable std::mutex counters_mu_;  // leaf lock: nothing is taken under it
+  Counters counters_;
 };
 
 }  // namespace tda::service

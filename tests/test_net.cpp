@@ -513,6 +513,25 @@ TEST(NetDoor, UnixSolveRoundTripWithTenantLabels) {
   EXPECT_EQ(c.bad_frames, 0u);
 }
 
+TEST(NetDoor, ShutdownRightAfterACompletionIsRaceFree) {
+  // A completion callback wakes the poll thread from a service worker;
+  // shutdown() closes that wake pipe. Answer a request and shut down at
+  // once, many times over, so the race detector sees the callback's
+  // wake write interleave with the pipe's close.
+  for (int i = 0; i < 25; ++i) {
+    DoorFixture fx;
+    ASSERT_TRUE(fx.start());
+    Client client;
+    std::string err;
+    ASSERT_TRUE(client.connect("unix:" + fx.sock, "ta", &err)) << err;
+    const auto sys = diag_dominant(64, 100u + static_cast<unsigned>(i));
+    const auto r = client.solve<double>(sys.a, sys.b, sys.c, sys.d);
+    ASSERT_TRUE(r.ok()) << to_string(r.code) << " " << r.error;
+    fx.door->shutdown();
+    EXPECT_EQ(fx.door->counters().responses_sent, 1u);
+  }
+}
+
 TEST(NetDoor, TcpSolveRoundTrip) {
   FrontDoorConfig fcfg;
   fcfg.tcp = "127.0.0.1:0";

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <future>
+#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -405,9 +406,7 @@ TEST(ServiceWatchdog, StalledSolveTimesOutInFlight) {
   ServiceConfig cfg;
   cfg.flush_systems = 1;
   cfg.flush_interval_ms = 0.0;  // immediate pickup
-  cfg.watchdog.interval_ms = 1.0;
   cfg.watchdog.stall_threshold_ms = 20.0;
-  cfg.watchdog.stall_strikes = 3;
   SolveService<double> svc(one_device(), cfg);
 
   // Deadline (30 ms) lapses inside the 300 ms injected stall: the
@@ -437,7 +436,6 @@ TEST(ServiceWatchdog, UnexpiredBatchmateIsRequeuedAndCompletes) {
   ServiceConfig cfg;
   cfg.flush_systems = 2;  // both requests coalesce into one job
   cfg.flush_interval_ms = 50.0;  // lets the requeued single re-flush
-  cfg.watchdog.interval_ms = 1.0;
   SolveService<double> svc(one_device(), cfg);
 
   auto doomed = svc.submit(make_request(64, 2, 30.0));
@@ -456,6 +454,38 @@ TEST(ServiceWatchdog, UnexpiredBatchmateIsRequeuedAndCompletes) {
   EXPECT_GE(c.timeout_requeues, 1u);
   EXPECT_EQ(c.timed_out_inflight, 1u);
   EXPECT_EQ(c.completed, 1u);
+}
+
+TEST(ServiceWatchdog, ShutdownDuringStalledSolveTimesOutInFlight) {
+  faults::FaultConfig fc;
+  fc.rate_of(faults::Site::WorkerStall) = 1.0;
+  fc.stall_ms = 300.0;
+  faults::ScopedFaultConfig scoped(fc);
+
+  ServiceConfig cfg;
+  cfg.flush_systems = 1;
+  cfg.flush_interval_ms = 0.0;  // immediate pickup
+  SolveService<double> svc(one_device(), cfg);
+  auto fut = svc.submit(make_request(64, 5, 30.0));
+
+  // Drain while the worker sleeps in its 300 ms stall: the supervisor
+  // must keep watching the in-flight job through shutdown, so the 30 ms
+  // deadline still cancels it mid-flight.
+  const auto t0 = std::chrono::steady_clock::now();
+  while (!svc.worker_health().front().busy &&
+         std::chrono::steady_clock::now() - t0 < std::chrono::seconds(10)) {
+    std::this_thread::yield();
+  }
+  ASSERT_TRUE(svc.worker_health().front().busy);
+  svc.shutdown();
+
+  ASSERT_EQ(fut.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+  const auto resp = fut.get();
+  EXPECT_EQ(resp.status, SolveStatus::TimedOut) << to_string(resp.status);
+  EXPECT_EQ(resp.timeout_scope, TimeoutScope::InFlight);
+  const auto c = svc.counters();
+  EXPECT_GE(c.watchdog_cancels, 1u);
+  EXPECT_EQ(c.timed_out_inflight, 1u);
 }
 
 TEST(ServiceDeadlines, QueueAndInFlightScopesAreDistinct) {

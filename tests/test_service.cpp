@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <span>
@@ -233,29 +234,29 @@ TEST(SolveService, DefaultDeadlineApplies) {
 
 // ---------- multi-device dispatch ----------
 
-TEST(SolveService, RoundRobinSpreadsAcrossDevices) {
-  ServiceConfig cfg;
-  cfg.flush_systems = 1;  // every request is its own flush
-  cfg.dispatch = DispatchPolicy::RoundRobin;
+TEST(SolveService, RunsOneSupervisorPlusOneThreadPerWorker) {
+  const auto threads = [] {
+    std::size_t n = 0;
+    for (const auto& e :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+      (void)e;
+      ++n;
+    }
+    return n;
+  };
+  // Sanitizer runtimes start a helper thread at the first thread
+  // creation; let that happen before the baseline is taken.
+  std::thread([] {}).join();
+  const std::size_t before = threads();
   SolveService<double> svc(
-      {gpusim::geforce_gtx_470(), gpusim::geforce_gtx_280()}, cfg);
-  ASSERT_EQ(svc.num_workers(), 2u);
-  std::set<std::string> devices;
-  std::vector<std::future<SolveResponse<double>>> futs;
-  for (int i = 0; i < 8; ++i)
-    futs.push_back(svc.submit(make_request(64, 400 + i)));
-  for (auto& f : futs) {
-    auto resp = f.get();
-    ASSERT_EQ(resp.status, SolveStatus::Ok);
-    devices.insert(resp.device);
-  }
-  EXPECT_EQ(devices.size(), 2u);
+      {gpusim::geforce_gtx_470(), gpusim::geforce_gtx_470()});
+  EXPECT_EQ(threads(), before + 3);
+  svc.shutdown();
 }
 
 TEST(SolveService, LeastLoadedUsesBothDevices) {
   ServiceConfig cfg;
   cfg.flush_systems = 1;
-  cfg.dispatch = DispatchPolicy::LeastLoaded;
   SolveService<double> svc(
       {gpusim::geforce_gtx_470(), gpusim::geforce_gtx_470()}, cfg);
   std::vector<std::future<SolveResponse<double>>> futs;
