@@ -33,7 +33,8 @@ bool send_fds(int sock, const std::vector<int>& fds, char tag) {
   }
 
   while (true) {
-    const ssize_t n = ::sendmsg(sock, &msg, 0);
+    // A receiver that died early is a failed send, not a SIGPIPE.
+    const ssize_t n = ::sendmsg(sock, &msg, MSG_NOSIGNAL);
     if (n >= 0) return n == 1;
     if (errno != EINTR) return false;
   }

@@ -143,7 +143,10 @@ std::string serialize_snapshot(const ServerState& state) {
             "\t" + fmt_u64(e->retries) + "\t" + fmt_u64(e->chunks) + "\t" +
             escape(e->device) + "\t" + escape(e->error) + "\t" +
             fmt_u64(e->x.size());
-    for (const double v : e->x) body += "\t" + fmt_f64(v);
+    for (const double v : e->x) {
+      body += '\t';
+      body += fmt_f64(v);
+    }
     body += "\n";
   }
 

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <ostream>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -96,6 +98,19 @@ struct PipelineCase {
   LoadVariant variant;
 };
 
+std::string case_name(const PipelineCase& pc) {
+  return "m" + std::to_string(pc.m) + "_n" + std::to_string(pc.n) + "_s1" +
+         std::to_string(pc.stage1_steps) + "_s2" +
+         std::to_string(pc.stage2_steps) + "_t" +
+         std::to_string(pc.thomas_switch) + "_" + to_string(pc.variant);
+}
+
+// Printed by field: gtest would otherwise print the struct's raw bytes,
+// tail padding included, into the discovered test names.
+void PrintTo(const PipelineCase& pc, std::ostream* os) {
+  *os << case_name(pc);
+}
+
 class KernelPipeline
     : public ::testing::TestWithParam<std::tuple<int, PipelineCase>> {};
 
@@ -136,7 +151,11 @@ INSTANTIATE_TEST_SUITE_P(
             // non-power-of-two size
             PipelineCase{3, 777, 1, 2, 16, LoadVariant::Strided},
             // deep thomas switch
-            PipelineCase{1, 2048, 3, 1, 128, LoadVariant::Strided})));
+            PipelineCase{1, 2048, 3, 1, 128, LoadVariant::Strided})),
+    [](const ::testing::TestParamInfo<KernelPipeline::ParamType>& p) {
+      return "dev" + std::to_string(std::get<0>(p.param)) + "_" +
+             case_name(std::get<1>(p.param));
+    });
 
 // ---------- stage semantics ----------
 

@@ -750,6 +750,51 @@ TEST(OpsServer, AdminHealthReadyReloadSnapshot) {
   ::unlink(ocfg.snapshot_path.c_str());
 }
 
+TEST(OpsServer, HandoffRacingTheDrainGetsATypedAnswer) {
+  // The drain closes the listeners on the poll thread while the admin
+  // thread hands them off: every handoff must read them on the poll
+  // thread and end in a typed result. The next generation (/bin/true)
+  // never acks, so no handoff succeeds.
+  OpsFixture f;
+  ASSERT_TRUE(f.start());
+  OpsConfig ocfg;
+  ocfg.admin_path = unique_path("adm", ".sock");
+  ocfg.handoff_argv = {"/bin/true"};
+  ocfg.handoff_ack_timeout_ms = 20.0;
+  Server<double> srv(*f.svc, *f.door, ocfg);
+  std::string err;
+  ASSERT_TRUE(srv.start(&err)) << err;
+
+  std::atomic<bool> drained{false};
+  std::vector<std::string> replies;
+  std::thread admin([&] {
+    // A few handoffs after the drain finished too, all bounded.
+    for (int after = 0, i = 0; after < 3 && i < 40; ++i) {
+      if (drained.load()) ++after;
+      std::string reply;
+      std::string why;
+      EXPECT_FALSE(admin_request(ocfg.admin_path, AdminCmd::Handoff, "",
+                                 &reply, &why));
+      replies.push_back(reply);
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  f.door->shutdown();
+  drained.store(true);
+  admin.join();
+
+  ASSERT_FALSE(replies.empty());
+  for (const auto& r : replies) {
+    EXPECT_TRUE(r == "next generation never acked" ||
+                r == "sending listeners failed" ||
+                r == "no listeners to hand off")
+        << r;
+  }
+  EXPECT_EQ(replies.back(), "no listeners to hand off");
+  EXPECT_FALSE(srv.handed_off());
+  srv.shutdown();
+}
+
 TEST(OpsServer, ExactlyOnceReplayAcrossGenerations) {
   const std::string snap_path = unique_path("gen", ".snap");
   const System sys = diag_dominant(64, 5);

@@ -184,6 +184,26 @@ TEST(SolveService, RejectPolicyRefusesWhenFull) {
   EXPECT_EQ(svc.counters().rejected, 1u);
 }
 
+TEST(SolveService, SubmittedMetricCountsRejectedCallsToo) {
+  auto cfg = stalled_config();
+  cfg.backpressure = BackpressurePolicy::Reject;
+  SolveService<double> svc(one_device(), cfg);
+  svc.telemetry().enable_all();
+  std::vector<std::future<SolveResponse<double>>> futs;
+  for (int i = 0; i < 5; ++i) futs.push_back(svc.submit(make_request(64, i)));
+  svc.shutdown();
+  std::size_t rejected = 0;
+  for (auto& f : futs) {
+    if (f.get().status == SolveStatus::Rejected) ++rejected;
+  }
+  // Both "submitted" numbers count submit() calls, rejections included.
+  const auto& mx = svc.telemetry().metrics;
+  EXPECT_EQ(rejected, 3u);
+  EXPECT_EQ(svc.counters().submitted, 5u);
+  EXPECT_EQ(mx.counter("service.submitted"), 5.0);
+  EXPECT_EQ(mx.counter("service.rejected"), 3.0);
+}
+
 TEST(SolveService, ShedOldestEvictsToAdmit) {
   auto cfg = stalled_config();
   cfg.backpressure = BackpressurePolicy::ShedOldest;
