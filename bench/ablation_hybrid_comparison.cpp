@@ -38,8 +38,8 @@ void run_precision(const char* label, std::size_t m, std::size_t n_req) {
     auto pristine = host;
 
     auto check = [&](const char* who) {
-      const double res = tridiag::batch_residual_inf(pristine, host.x());
-      TDA_ENSURE(res < (sizeof(T) == 4 ? 1e-3 : 1e-9),
+      TDA_ENSURE(tridiag::relative_residual(pristine, host.x()) <=
+                     tridiag::residual_bound<T>(n),
                  std::string("wrong answer from ") + who);
     };
 

@@ -854,25 +854,6 @@ bool run_tenants_bench(int num_devices, std::size_t flush, double flush_ms,
 
 // ----------------------------------------------------------------- chaos
 
-/// Worst relative residual of one acked solution: max_i |(Ax - d)_i| /
-/// (|d_i| + 1). The client-side half of the exactly-once gate — an ack
-/// only counts if it carries a genuine solution of the system the
-/// client actually sent.
-double residual_inf(const SolveRequest<double>& s,
-                    const std::vector<double>& x) {
-  if (x.size() != s.d.size()) return 1e300;
-  const std::size_t n = x.size();
-  double worst = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    double r = s.b[i] * x[i] - s.d[i];
-    if (i > 0) r += s.a[i] * x[i - 1];
-    if (i + 1 < n) r += s.c[i] * x[i + 1];
-    const double rel = std::abs(r) / (std::abs(s.d[i]) + 1.0);
-    worst = std::max(worst, rel);
-  }
-  return worst;
-}
-
 struct ChaosStats {
   std::size_t ok = 0;            ///< acked with a verified solution
   std::size_t shed = 0;          ///< typed Shed/TimedOut (overload works)
@@ -955,7 +936,13 @@ ChaosStats run_chaos_client(const std::string& spec, std::size_t requests,
     const auto it = live.find(r.request_id);
     if (it == live.end()) continue;  // answer for an already-settled id
     if (r.ok()) {
-      if (residual_inf(it->second.sys, r.x) > 1e-6) ++st.residual_bad;
+      // The client-side half of the exactly-once gate: an ack only
+      // counts if it carries a genuine solution of the system the client
+      // sent. backward_error is +inf for a NaN or wrong-size x.
+      const auto& sys = it->second.sys;
+      if (!(service::backward_error(sys, r.x) <=
+            tridiag::residual_bound<double>(sys.size())))
+        ++st.residual_bad;
       ++st.ok;
       live.erase(it);
       continue;

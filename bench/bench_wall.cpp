@@ -148,7 +148,8 @@ std::vector<LaneResult> run_lane_sweep(std::size_t m, std::size_t n,
     r.host_transpose_ms /= repeat;
 
     // Engine contract: the solution must not depend on the lane count.
-    TDA_ENSURE(tridiag::batch_residual_inf(pristine, batch.x()) < 1e-3f,
+    TDA_ENSURE(tridiag::relative_residual(pristine, batch.x()) <=
+                   tridiag::residual_bound<float>(n),
                "bench solve produced a bad solution");
     if (reference_x.empty()) {
       reference_x.assign(batch.x().begin(), batch.x().end());

@@ -36,9 +36,7 @@ using namespace tda;
 
 namespace {
 
-struct System {
-  std::vector<double> a, b, c, d;
-};
+using System = service::SolveRequest<double>;
 
 System random_system(std::size_t n, Rng& rng) {
   System s;
@@ -53,18 +51,6 @@ System random_system(std::size_t n, Rng& rng) {
     s.d[i] = rng.uniform(-1, 1);
   }
   return s;
-}
-
-double residual(const System& s, const std::vector<double>& x) {
-  double worst = 0.0;
-  const std::size_t n = s.b.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    double acc = s.b[i] * x[i] - s.d[i];
-    if (i > 0) acc += s.a[i] * x[i - 1];
-    if (i + 1 < n) acc += s.c[i] * x[i + 1];
-    worst = std::max(worst, std::abs(acc));
-  }
-  return worst;
 }
 
 }  // namespace
@@ -165,11 +151,11 @@ int main(int argc, char** argv) {
           const auto sys = random_system(n, rng);
           const auto r = client.solve<double>(sys.a, sys.b, sys.c, sys.d);
           if (r.code == net::ErrorCode::None) {
-            const double res = residual(sys, r.x);
+            const double res = service::backward_error(sys, r.x);
             double prev = worst.load();
             while (res > prev && !worst.compare_exchange_weak(prev, res)) {
             }
-            if (res > 1e-8) {
+            if (!(res <= tridiag::residual_bound<double>(n))) {
               failed.fetch_add(1);
             } else {
               solved.fetch_add(1);

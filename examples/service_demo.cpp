@@ -44,19 +44,6 @@ SolveRequest<double> random_request(std::size_t n, Rng& rng,
   return req;
 }
 
-double request_residual(const SolveRequest<double>& req,
-                        const std::vector<double>& x) {
-  double worst = 0.0;
-  const std::size_t n = req.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    double acc = req.b[i] * x[i] - req.d[i];
-    if (i > 0) acc += req.a[i] * x[i - 1];
-    if (i + 1 < n) acc += req.c[i] * x[i + 1];
-    worst = std::max(worst, std::abs(acc));
-  }
-  return worst;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -117,12 +104,13 @@ int main(int argc, char** argv) {
           continue;
         }
         solved.fetch_add(1);
-        const double r =
-            request_residual(copies[static_cast<std::size_t>(i)], resp.x);
+        const auto& req = copies[static_cast<std::size_t>(i)];
+        const double r = backward_error(req, resp.x);
         double prev = worst_residual.load();
         while (r > prev && !worst_residual.compare_exchange_weak(prev, r)) {
         }
-        if (r > 1e-8) residual_fail.fetch_add(1);
+        if (!(r <= tridiag::residual_bound<double>(req.size())))
+          residual_fail.fetch_add(1);
       }
     });
   }

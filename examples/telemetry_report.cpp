@@ -108,7 +108,7 @@ int main(int argc, char** argv) {
   auto pristine = batch;
   solver::GpuTridiagonalSolver<float> solver(dev, tuned.points);
   auto stats = solver.solve(batch);
-  const double residual = tridiag::batch_residual_inf(pristine, batch.x());
+  const double residual = tridiag::relative_residual(pristine, batch.x());
   std::cout << "solve: " << TextTable::num(stats.total_ms, 4)
             << " simulated ms, residual " << residual << "\n\n";
 

@@ -138,10 +138,9 @@ int run(const Cli& cli, gpusim::Device& dev) {
             << stats.stage1_ms << ", stage2 " << stats.stage2_ms
             << ", stage3+4 " << stats.stage3_ms << ")\n";
 
-  const double residual = tridiag::batch_residual_inf(pristine, batch.x());
-  std::cout << "residual : " << residual
-            << (residual < (sizeof(T) == 4 ? 1e-3 : 1e-9) ? "  [OK]"
-                                                          : "  [FAIL]")
+  const double residual = tridiag::relative_residual(pristine, batch.x());
+  const bool ok = residual <= tridiag::residual_bound<T>(n);
+  std::cout << "residual : " << residual << (ok ? "  [OK]" : "  [FAIL]")
             << "\n";
 
   if (cli.has("trace")) {
@@ -193,7 +192,7 @@ int run(const Cli& cli, gpusim::Device& dev) {
               << " wall ms on this host (" << cpu_stats.threads_used
               << " threads, " << cpu_stats.failures << " failures)\n";
   }
-  return residual < (sizeof(T) == 4 ? 1e-3 : 1e-9) ? 0 : 1;
+  return ok ? 0 : 1;
 }
 
 /// --connect mode: the same workload, solved by a remote front door
@@ -295,8 +294,8 @@ int remote_run(const Cli& cli) {
               << " unsolved)  [FAIL]\n";
     return 1;
   }
-  const double residual = tridiag::batch_residual_inf(batch, batch.x());
-  const bool ok = residual < (sizeof(T) == 4 ? 1e-3 : 1e-9);
+  const double residual = tridiag::relative_residual(batch, batch.x());
+  const bool ok = residual <= tridiag::residual_bound<T>(n);
   std::cout << "residual : " << residual << (ok ? "  [OK]" : "  [FAIL]")
             << "\n";
   return ok ? 0 : 1;

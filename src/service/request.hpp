@@ -7,10 +7,14 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "telemetry/tracer.hpp"
+#include "tridiag/verify.hpp"
 
 namespace tda::service {
 
@@ -57,6 +61,20 @@ struct SolveRequest {
 
   [[nodiscard]] std::size_t size() const { return b.size(); }
 };
+
+/// Normwise backward error (tridiag::relative_residual) of x as a
+/// solution of the request's system; +inf when x has the wrong size, so a
+/// client can check any answer it was sent.
+template <typename T>
+[[nodiscard]] double backward_error(
+    const SolveRequest<T>& req, std::type_identity_t<std::span<const T>> x) {
+  const std::size_t n = req.size();
+  if (x.size() != n) return std::numeric_limits<double>::infinity();
+  return tridiag::relative_residual(
+      tridiag::contiguous_system(req.a.data(), req.b.data(), req.c.data(),
+                                 req.d.data(), n),
+      StridedView<const T>(x.data(), n, 1));
+}
 
 template <typename T>
 struct SolveResponse {

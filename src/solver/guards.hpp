@@ -49,6 +49,7 @@
 #include "solver/gpu_solver.hpp"
 #include "telemetry/telemetry.hpp"
 #include "tridiag/batch.hpp"
+#include "tridiag/verify.hpp"
 
 namespace tda::solver {
 
@@ -122,34 +123,9 @@ template <typename T>
   return r;
 }
 
-/// Relative infinity-norm residual of a candidate solution:
-/// max_i |d_i - (A x)_i| / (||A||_inf * ||x||_inf + ||d||_inf).
-/// Returns +inf when x contains non-finite entries.
-template <typename T>
-[[nodiscard]] double relative_residual(const tridiag::SystemView<T>& sys,
-                                       const StridedView<T>& x) {
-  const std::size_t n = sys.size();
-  TDA_REQUIRE(x.size() == n, "residual: solution size mismatch");
-  double max_r = 0.0, norm_a = 0.0, norm_x = 0.0, norm_d = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double xi = static_cast<double>(x[i]);
-    if (!std::isfinite(xi)) return std::numeric_limits<double>::infinity();
-    const double ai = i > 0 ? static_cast<double>(sys.a[i]) : 0.0;
-    const double bi = static_cast<double>(sys.b[i]);
-    const double ci = i + 1 < n ? static_cast<double>(sys.c[i]) : 0.0;
-    const double di = static_cast<double>(sys.d[i]);
-    double ax = bi * xi;
-    if (i > 0) ax += ai * static_cast<double>(x[i - 1]);
-    if (i + 1 < n) ax += ci * static_cast<double>(x[i + 1]);
-    max_r = std::max(max_r, std::abs(di - ax));
-    norm_a = std::max(norm_a, std::abs(ai) + std::abs(bi) + std::abs(ci));
-    norm_x = std::max(norm_x, std::abs(xi));
-    norm_d = std::max(norm_d, std::abs(di));
-  }
-  const double scale = norm_a * norm_x + norm_d;
-  if (scale == 0.0) return max_r == 0.0 ? 0.0 : max_r;
-  return max_r / scale;
-}
+/// The postcheck's residual is the repository's one solution check
+/// (tridiag/verify.hpp), compared against auto_residual_tol<T>().
+using tridiag::relative_residual;
 
 /// Solves one system with the pivoting CPU solver (cpu/gtsv.hpp). The
 /// inputs are copied (gtsv consumes its coefficients); the solution is

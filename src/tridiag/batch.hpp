@@ -96,6 +96,17 @@ struct SystemView {
   }
 };
 
+/// Stride-1 view of one system held in four contiguous arrays of n
+/// elements (a request's vectors, one system of a ragged batch).
+template <typename T>
+[[nodiscard]] SystemView<const T> contiguous_system(const T* a, const T* b,
+                                                    const T* c, const T* d,
+                                                    std::size_t n) {
+  return SystemView<const T>{
+      StridedView<const T>(a, n, 1), StridedView<const T>(b, n, 1),
+      StridedView<const T>(c, n, 1), StridedView<const T>(d, n, 1)};
+}
+
 /// Owning batch of m tridiagonal systems of size n (SoA, system-major).
 /// Storage is either five fresh AlignedBuffers or one pooled slab (see
 /// BatchStorage); both are zero-initialized and 64-byte aligned, so the

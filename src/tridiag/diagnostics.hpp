@@ -102,12 +102,9 @@ double estimate_condition(const SystemView<const T>& sys,
       bv[i] = static_cast<double>(sys.b[i]);
       cv[i] = static_cast<double>(sys.c[i]);
     }
-    SystemView<const double> dsys{
-        StridedView<const double>(av.data(), n, 1),
-        StridedView<const double>(bv.data(), n, 1),
-        StridedView<const double>(cv.data(), n, 1),
-        StridedView<const double>(v.data(), n, 1)};
-    if (!thomas_solve(dsys, StridedView<double>(x.data(), n, 1),
+    if (!thomas_solve(contiguous_system(av.data(), bv.data(), cv.data(),
+                                       v.data(), n),
+                      StridedView<double>(x.data(), n, 1),
                       StridedView<double>(cs.data(), n, 1),
                       StridedView<double>(ds.data(), n, 1))) {
       return std::numeric_limits<double>::infinity();

@@ -13,8 +13,12 @@
 //   construction: choose gamma, modify b[0] and b[n-1], solve A y = d and
 //   A z = u, then x = y - (v^T y / (1 + v^T z)) z.
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <functional>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "common/check.hpp"
@@ -118,34 +122,61 @@ std::vector<T> solve_periodic_batch(
   return x;
 }
 
-/// Scaled max residual of a periodic batch against a candidate solution.
+/// Normwise backward error of a periodic batch against a candidate
+/// solution: tridiag::relative_residual with the alpha/beta corners in
+/// both A x and ||A||_inf, maximised over the systems. Returns +inf when
+/// x, d, a coefficient or a corner is NaN or Inf.
 template <typename T>
-double periodic_residual_inf(const PeriodicBatch<T>& batch,
-                             std::span<const T> x) {
+double periodic_relative_residual(const PeriodicBatch<T>& batch,
+                                  std::span<const T> x) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   const std::size_t m = batch.core.num_systems();
   const std::size_t n = batch.core.system_size();
   TDA_REQUIRE(x.size() == m * n, "periodic residual: size mismatch");
-  double worst = 0.0;
-  double scale = 1.0;
   auto a = batch.core.a();
   auto b = batch.core.b();
   auto c = batch.core.c();
   auto d = batch.core.d();
+  double worst = 0.0;
   for (std::size_t s = 0; s < m; ++s) {
     const std::size_t off = s * n;
+    double max_r = 0.0, norm_a = 0.0, norm_x = 0.0, norm_d = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       const std::size_t k = off + i;
-      double acc = static_cast<double>(b[k]) * x[k];
-      if (i > 0) acc += static_cast<double>(a[k]) * x[k - 1];
-      if (i + 1 < n) acc += static_cast<double>(c[k]) * x[k + 1];
-      if (i == 0) acc += static_cast<double>(batch.alpha[s]) * x[off + n - 1];
-      if (i == n - 1) acc += static_cast<double>(batch.beta[s]) * x[off];
-      worst = std::max(worst, std::abs(acc - static_cast<double>(d[k])));
-      scale = std::max(scale, std::abs(static_cast<double>(d[k])));
-      scale = std::max(scale, std::abs(acc));
+      const double xi = static_cast<double>(x[k]);
+      const double ai = i > 0 ? static_cast<double>(a[k]) : 0.0;
+      const double bi = static_cast<double>(b[k]);
+      const double ci = i + 1 < n ? static_cast<double>(c[k]) : 0.0;
+      const double di = static_cast<double>(d[k]);
+      double ax = bi * xi;
+      double row = std::abs(ai) + std::abs(bi) + std::abs(ci);
+      if (i > 0) ax += ai * static_cast<double>(x[k - 1]);
+      if (i + 1 < n) ax += ci * static_cast<double>(x[k + 1]);
+      if (i == 0) {
+        const double alpha = static_cast<double>(batch.alpha[s]);
+        ax += alpha * static_cast<double>(x[off + n - 1]);
+        row += std::abs(alpha);
+      }
+      if (i == n - 1) {
+        const double beta = static_cast<double>(batch.beta[s]);
+        ax += beta * static_cast<double>(x[off]);
+        row += std::abs(beta);
+      }
+      // As in relative_residual: a non-finite factor of any product in
+      // row i, or an overflowing A x, leaves ax non-finite.
+      if (!std::isfinite(ax) || !std::isfinite(di)) return kInf;
+      max_r = std::max(max_r, std::abs(di - ax));
+      norm_a = std::max(norm_a, row);
+      norm_x = std::max(norm_x, std::abs(xi));
+      norm_d = std::max(norm_d, std::abs(di));
     }
+    const double scale = norm_a * norm_x + norm_d;
+    if (scale == 0.0) continue;
+    const double err = max_r / scale;
+    if (std::isnan(err)) return kInf;
+    worst = std::max(worst, err);
   }
-  return worst / scale;
+  return worst;
 }
 
 }  // namespace tda::tridiag

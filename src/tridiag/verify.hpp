@@ -1,79 +1,98 @@
 #pragma once
-// Solution verification: residuals and a dense Gaussian-elimination
+// Solution verification: the normwise backward error every solution
+// check uses, its acceptance bound, and a dense Gaussian-elimination
 // reference for small systems.
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <limits>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/strided_view.hpp"
 #include "tridiag/batch.hpp"
 
 namespace tda::tridiag {
 
-/// Scaled max residual of one system: max_i |A x - d|_i / max(1, |d|_inf,
-/// |x|_inf * |A|_row). A good solve of a well-conditioned system yields a
-/// value near machine epsilon of T.
+/// Normwise backward error of a candidate solution x of one system,
+/// accumulated in double:
+///   ||A x - d||_inf / (||A||_inf * ||x||_inf + ||d||_inf).
+/// It is the one solution check of the repository: the guards' postcheck,
+/// the tests, the benches and the examples all call it
+/// (docs/ROBUSTNESS.md, "Verifying a solution").
+///
+/// Returns +inf when x, d or a coefficient of A is NaN or Inf, or when
+/// A x overflows, so that no `err <= tol` test can accept a non-finite
+/// answer. a[0] and c[n-1] lie outside A and are not read.
 template <typename T>
-double residual_inf(const SystemView<const T>& sys,
-                    const StridedView<const T>& x) {
+[[nodiscard]] double relative_residual(const SystemView<T>& sys,
+                                       const StridedView<T>& x) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   const std::size_t n = sys.size();
-  TDA_REQUIRE(x.size() == n, "residual: size mismatch");
-  double worst = 0.0;
-  double scale = 1.0;
+  TDA_REQUIRE(x.size() == n, "residual: solution size mismatch");
+  double max_r = 0.0, norm_a = 0.0, norm_x = 0.0, norm_d = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    double acc = static_cast<double>(sys.b[i]) * static_cast<double>(x[i]);
-    double row = std::abs(static_cast<double>(sys.b[i]));
-    if (i > 0) {
-      acc += static_cast<double>(sys.a[i]) * static_cast<double>(x[i - 1]);
-      row += std::abs(static_cast<double>(sys.a[i]));
-    }
-    if (i + 1 < n) {
-      acc += static_cast<double>(sys.c[i]) * static_cast<double>(x[i + 1]);
-      row += std::abs(static_cast<double>(sys.c[i]));
-    }
-    worst = std::max(worst, std::abs(acc - static_cast<double>(sys.d[i])));
-    scale = std::max(scale, row * std::abs(static_cast<double>(x[i])));
-    scale = std::max(scale, std::abs(static_cast<double>(sys.d[i])));
+    const double xi = static_cast<double>(x[i]);
+    const double ai = i > 0 ? static_cast<double>(sys.a[i]) : 0.0;
+    const double bi = static_cast<double>(sys.b[i]);
+    const double ci = i + 1 < n ? static_cast<double>(sys.c[i]) : 0.0;
+    const double di = static_cast<double>(sys.d[i]);
+    double ax = bi * xi;
+    if (i > 0) ax += ai * static_cast<double>(x[i - 1]);
+    if (i + 1 < n) ax += ci * static_cast<double>(x[i + 1]);
+    // A NaN or Inf factor makes its product non-finite (Inf * 0 is NaN),
+    // and row i holds a[i], b[i], c[i] and x[i]: this test covers every
+    // coefficient and every x, and an A x that overflows as well.
+    if (!std::isfinite(ax) || !std::isfinite(di)) return kInf;
+    max_r = std::max(max_r, std::abs(di - ax));
+    norm_a = std::max(norm_a, std::abs(ai) + std::abs(bi) + std::abs(ci));
+    norm_x = std::max(norm_x, std::abs(xi));
+    norm_d = std::max(norm_d, std::abs(di));
   }
-  return worst / scale;
+  const double scale = norm_a * norm_x + norm_d;
+  if (scale == 0.0) return max_r;
+  const double err = max_r / scale;
+  return std::isnan(err) ? kInf : err;  // Inf / Inf after an overflow
 }
 
-/// Max scaled residual across every system of a batch, checking the
-/// solution already stored in batch.x(). Coefficients must still hold the
-/// ORIGINAL system (pass a pristine copy if the solver destroyed them).
+/// Largest relative_residual over the systems of a batch, for the
+/// solution x stored in the batch's layout (like batch.x()). The
+/// coefficients must still hold the ORIGINAL systems: pass a pristine
+/// copy when the solver overwrote them.
 template <typename T>
-double batch_residual_inf(const TridiagBatch<T>& original,
-                          std::span<const T> x) {
+[[nodiscard]] double relative_residual(
+    const TridiagBatch<T>& original,
+    std::type_identity_t<std::span<const T>> x) {
   const std::size_t m = original.num_systems();
   const std::size_t n = original.system_size();
   TDA_REQUIRE(x.size() == m * n, "batch residual: size mismatch");
+  const bool system_major = original.layout() == BatchLayout::SystemMajor;
   double worst = 0.0;
   for (std::size_t s = 0; s < m; ++s) {
-    const std::size_t off = s * n;
-    SystemView<const T> sys{
-        StridedView<const T>(original.a().data() + off, n, 1),
-        StridedView<const T>(original.b().data() + off, n, 1),
-        StridedView<const T>(original.c().data() + off, n, 1),
-        StridedView<const T>(original.d().data() + off, n, 1)};
-    StridedView<const T> xv(x.data() + off, n, 1);
-    worst = std::max(worst, residual_inf(sys, xv));
+    const auto lane = [&](std::span<const T> v) {
+      return system_major ? StridedView<const T>(v.data() + s * n, n, 1)
+                          : StridedView<const T>(v.data() + s, n, m);
+    };
+    const SystemView<const T> sys{lane(original.a()), lane(original.b()),
+                                  lane(original.c()), lane(original.d())};
+    worst = std::max(worst, relative_residual(sys, lane(x)));
   }
   return worst;
 }
 
-/// Overload: accepts a mutable span (template deduction cannot apply the
-/// span<T> -> span<const T> conversion by itself).
-template <typename T>
-double batch_residual_inf(const TridiagBatch<T>& original, std::span<T> x) {
-  return batch_residual_inf(original, std::span<const T>(x));
-}
+/// Repository-wide constant c of the acceptance bound c * n * eps(T).
+inline constexpr double kResidualC = 1.0;
 
-/// Convenience: residual of the batch against its own stored solution.
+/// The bound every test, bench and example holds a solution of n
+/// equations in T to: relative_residual(...) <= residual_bound<T>(n).
 template <typename T>
-double batch_residual_inf(const TridiagBatch<T>& original) {
-  return batch_residual_inf(original, original.x());
+[[nodiscard]] constexpr double residual_bound(std::size_t n) {
+  using E = std::remove_const_t<T>;
+  return kResidualC * static_cast<double>(n) *
+         static_cast<double>(std::numeric_limits<E>::epsilon());
 }
 
 /// Dense Gaussian elimination with partial pivoting — an algorithm-

@@ -130,7 +130,8 @@ launch_overhead_us = 3
   auto pristine = batch;
   auto stats = s.solve(batch);
   EXPECT_GT(stats.total_ms, 0.0);
-  EXPECT_LT(tridiag::batch_residual_inf(pristine, batch.x()), 1e-3);
+  EXPECT_LE(tridiag::relative_residual(pristine, batch.x()),
+            tridiag::residual_bound<float>(8192));
   // The fat shared memory must unlock larger on-chip systems than any
   // registry device.
   EXPECT_GE(kernels::max_shared_system_size(dev.query(), 4), 2048u);

@@ -242,7 +242,8 @@ TEST(ArenaHygiene, PoisonedSolveStillCorrect) {
     auto batch = make_diag_dominant<double>(6, 1024, 42);
     const auto pristine = batch;
     solver.solve(batch);
-    EXPECT_LT(tridiag::batch_residual_inf(pristine, batch.x()), 1e-9)
+    EXPECT_LE(tridiag::relative_residual(pristine, batch.x()),
+              tridiag::residual_bound<double>(1024))
         << "lanes=" << lanes;
   }
 }
@@ -473,7 +474,8 @@ TEST(PooledDeviceBatch, PoisonedPoolSolveIsCorrect) {
   const auto pristine = batch;
   solver.solve(batch);
   pool.set_poison(false);
-  EXPECT_LT(tridiag::batch_residual_inf(pristine, batch.x()), 1e-9);
+  EXPECT_LE(tridiag::relative_residual(pristine, batch.x()),
+            tridiag::residual_bound<double>(2048));
 }
 
 TEST(PooledDeviceBatch, ShapeOnlyBatchStillInertWithPoisonedPool) {

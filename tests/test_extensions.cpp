@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "cpu/batch_solver.hpp"
@@ -48,8 +49,8 @@ void cpu_inner_solver(TridiagBatch<double>& batch) {
 TEST(Periodic, SolvesWithCpuInnerSolver) {
   auto batch = make_periodic<double>(4, 64, 9001);
   auto x = solve_periodic_batch<double>(batch, cpu_inner_solver);
-  EXPECT_LT(periodic_residual_inf(batch, std::span<const double>(x)),
-            1e-12);
+  EXPECT_LE(periodic_relative_residual(batch, std::span<const double>(x)),
+            residual_bound<double>(64));
 }
 
 TEST(Periodic, SolvesWithGpuInnerSolver) {
@@ -59,8 +60,8 @@ TEST(Periodic, SolvesWithGpuInnerSolver) {
       dev, tuning::default_switch_points<double>());
   auto x = solve_periodic_batch<double>(
       batch, [&](TridiagBatch<double>& b) { gpu.solve(b); });
-  EXPECT_LT(periodic_residual_inf(batch, std::span<const double>(x)),
-            1e-10);
+  EXPECT_LE(periodic_relative_residual(batch, std::span<const double>(x)),
+            residual_bound<double>(1024));
 }
 
 TEST(Periodic, ZeroCornersReduceToOrdinarySolve) {
@@ -109,7 +110,21 @@ TEST(Periodic, FloatPath) {
     cpu::BatchCpuSolver solver(1);
     solver.solve(b);
   });
-  EXPECT_LT(periodic_residual_inf(batch, std::span<const float>(x)), 1e-4);
+  EXPECT_LE(periodic_relative_residual(batch, std::span<const float>(x)),
+            residual_bound<float>(128));
+}
+
+TEST(Periodic, ResidualIsInfiniteForNonFiniteInput) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto batch = make_periodic<double>(2, 16, 9005);
+  auto x = solve_periodic_batch<double>(batch, cpu_inner_solver);
+  auto bad_x = x;
+  bad_x[16 + 5] = nan;  // one entry of the second system
+  EXPECT_TRUE(std::isinf(
+      periodic_relative_residual(batch, std::span<const double>(bad_x))));
+  batch.beta[1] = nan;  // a corner: outside the tridiagonal part
+  EXPECT_TRUE(std::isinf(
+      periodic_relative_residual(batch, std::span<const double>(x))));
 }
 
 }  // namespace

@@ -36,9 +36,7 @@ std::string unique_sock(const char* tag) {
          std::to_string(counter.fetch_add(1)) + ".sock";
 }
 
-struct System {
-  std::vector<double> a, b, c, d;
-};
+using System = service::SolveRequest<double>;
 
 System diag_dominant(std::size_t n, unsigned seed) {
   System s;
@@ -58,19 +56,6 @@ System diag_dominant(std::size_t n, unsigned seed) {
     s.d[i] = next();
   }
   return s;
-}
-
-double residual(const System& s, const std::vector<double>& x) {
-  double worst = 0.0;
-  const std::size_t n = s.b.size();
-  if (x.size() != n) return 1e30;
-  for (std::size_t i = 0; i < n; ++i) {
-    double acc = s.b[i] * x[i] - s.d[i];
-    if (i > 0) acc += s.a[i] * x[i - 1];
-    if (i + 1 < n) acc += s.c[i] * x[i + 1];
-    worst = std::max(worst, std::abs(acc));
-  }
-  return worst;
 }
 
 /// Reads raw frames off a socket fd — for tests that emulate a legacy
@@ -487,7 +472,8 @@ TEST(NetDoor, UnixSolveRoundTripWithTenantLabels) {
     const auto sys = diag_dominant(n, static_cast<unsigned>(n));
     const auto r = client.solve<double>(sys.a, sys.b, sys.c, sys.d);
     ASSERT_TRUE(r.ok()) << to_string(r.code) << " " << r.error;
-    EXPECT_LT(residual(sys, r.x), 1e-8);
+    EXPECT_LE(service::backward_error(sys, r.x),
+              tridiag::residual_bound<double>(sys.size()));
     EXPECT_NE(r.trace_id, 0u);
   }
   client.close();
@@ -548,7 +534,8 @@ TEST(NetDoor, TcpSolveRoundTrip) {
   const auto sys = diag_dominant(128, 7);
   const auto r = client.solve<double>(sys.a, sys.b, sys.c, sys.d);
   ASSERT_TRUE(r.ok()) << r.error;
-  EXPECT_LT(residual(sys, r.x), 1e-8);
+  EXPECT_LE(service::backward_error(sys, r.x),
+            tridiag::residual_bound<double>(sys.size()));
 }
 
 TEST(NetDoor, AuthFailedAndAuthRequired) {
@@ -580,7 +567,8 @@ TEST(NetDoor, NoAuthModeAdmitsAnonymous) {
   const auto sys = diag_dominant(64, 3);
   const auto r = client.solve<double>(sys.a, sys.b, sys.c, sys.d);
   ASSERT_TRUE(r.ok()) << r.error;
-  EXPECT_LT(residual(sys, r.x), 1e-8);
+  EXPECT_LE(service::backward_error(sys, r.x),
+            tridiag::residual_bound<double>(sys.size()));
 }
 
 TEST(NetDoor, DtypeMismatchRejected) {
@@ -686,7 +674,8 @@ TEST(NetDoor, DrainMidStreamAnswersNeverSilentlyCloses) {
   ASSERT_TRUE(client.recv_result<double>(r1, &err)) << err;
   EXPECT_EQ(r1.request_id, 1u);
   ASSERT_TRUE(r1.ok()) << to_string(r1.code) << " " << r1.error;
-  EXPECT_LT(residual(sys, r1.x), 1e-8);
+  EXPECT_LE(service::backward_error(sys, r1.x),
+            tridiag::residual_bound<double>(sys.size()));
   // The orderly close: Goodbye, not a dead socket.
   WireResult<double> r3;
   EXPECT_FALSE(client.recv_result<double>(r3, &err));
@@ -794,7 +783,8 @@ TEST(NetDoor, CrossTenantSameShapeStillCoalesces) {
       WireResult<double> r;
       ASSERT_TRUE(client.recv_result<double>(r, &err)) << err;
       ASSERT_TRUE(r.ok()) << r.error;
-      EXPECT_LT(residual(sys, r.x), 1e-8);
+      EXPECT_LE(service::backward_error(sys, r.x),
+                tridiag::residual_bound<double>(sys.size()));
     }
   };
   std::thread ta([&] { run_tenant("ta"); });
@@ -1020,7 +1010,8 @@ TEST(NetDoorV2, LegacyV1ClientInteroperates) {
   EXPECT_EQ(ver, kVersion);  // responses stay v1-framed on this conn
   const auto res = parse_solve_ok<double>(payload);
   ASSERT_TRUE(res.has_value());
-  EXPECT_LT(residual(sys, res->x), 1e-8);
+  EXPECT_LE(service::backward_error(sys, res->x),
+            tridiag::residual_bound<double>(sys.size()));
 }
 
 TEST(NetDoorV2, KeyedResendReplaysWithoutReexecution) {
@@ -1041,7 +1032,8 @@ TEST(NetDoorV2, KeyedResendReplaysWithoutReexecution) {
   WireResult<double> first;
   ASSERT_TRUE(client.recv_result<double>(first, &err)) << err;
   ASSERT_TRUE(first.ok()) << first.error;
-  EXPECT_LT(residual(sys, first.x), 1e-8);
+  EXPECT_LE(service::backward_error(sys, first.x),
+            tridiag::residual_bound<double>(sys.size()));
 
   // A resend under the same key — what the client does after a dropped
   // SolveOk — replays the cached result; the device never runs twice.
@@ -1186,7 +1178,8 @@ TEST(NetDoorV2, SkewedClockDeadlineClampedToTenantDefault) {
                                       : "");
   const auto res = parse_solve_ok<double>(payload);
   ASSERT_TRUE(res.has_value());
-  EXPECT_LT(residual(sys, res->x), 1e-8);
+  EXPECT_LE(service::backward_error(sys, res->x),
+            tridiag::residual_bound<double>(sys.size()));
   EXPECT_EQ(fx.door->counters().deadline_skew_clamped, 1u);
 }
 
@@ -1264,7 +1257,8 @@ TEST(NetChaosProxy, TransparentRelayAndDropToggle) {
   const auto sys = diag_dominant(64, 29);
   const auto r = client.solve<double>(sys.a, sys.b, sys.c, sys.d);
   ASSERT_TRUE(r.ok()) << to_string(r.code) << " " << r.error;
-  EXPECT_LT(residual(sys, r.x), 1e-8);
+  EXPECT_LE(service::backward_error(sys, r.x),
+            tridiag::residual_bound<double>(sys.size()));
   const auto c0 = proxy.counters();
   EXPECT_GE(c0.connections, 1u);
   EXPECT_GT(c0.bytes_up, 0u);

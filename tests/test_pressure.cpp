@@ -23,6 +23,7 @@
 #include "service/solve_service.hpp"
 #include "solver/guards.hpp"
 #include "solver/ragged.hpp"
+#include "tridiag/verify.hpp"
 #include "tuning/tuners.hpp"
 
 namespace {
@@ -160,21 +161,6 @@ tridiag::TridiagBatch<double> random_batch(std::size_t m, std::size_t n,
   return b;
 }
 
-double batch_residual(const tridiag::TridiagBatch<double>& b) {
-  double worst = 0.0;
-  const std::size_t m = b.num_systems(), n = b.system_size();
-  for (std::size_t s = 0; s < m; ++s) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t k = s * n + i;
-      double acc = b.b()[k] * b.x()[k] - b.d()[k];
-      if (i > 0) acc += b.a()[k] * b.x()[k - 1];
-      if (i + 1 < n) acc += b.c()[k] * b.x()[k + 1];
-      worst = std::max(worst, std::abs(acc));
-    }
-  }
-  return worst;
-}
-
 TEST(GuardedChunking, MatchesUnchunkedAcrossSwitchPoints) {
   faults::ScopedFaultConfig quiet{faults::FaultConfig{}};
   // Sizes spanning the stage-1/2/3/4 switch points, incl. 1-equation
@@ -208,8 +194,12 @@ TEST(GuardedChunking, MatchesUnchunkedAcrossSwitchPoints) {
     // Chunked sub-batches may execute a different stage plan than the
     // full batch (the plan depends on m), so the contract is residual
     // accuracy, not bit-identity.
-    EXPECT_LT(batch_residual(chunked_in), 1e-8) << "n=" << n;
-    EXPECT_LT(batch_residual(reference), 1e-8) << "n=" << n;
+    EXPECT_LE(tridiag::relative_residual(chunked_in, chunked_in.x()),
+              tridiag::residual_bound<double>(n))
+        << "n=" << n;
+    EXPECT_LE(tridiag::relative_residual(reference, reference.x()),
+              tridiag::residual_bound<double>(n))
+        << "n=" << n;
   }
 }
 
@@ -229,7 +219,8 @@ TEST(GuardedChunking, BisectsToCpuFallbackWhenNothingFits) {
   EXPECT_EQ(res.oom_fallback_systems, 6u);
   EXPECT_GT(res.oom_events, 0u);
   EXPECT_EQ(res.chunks, 0u);  // nothing ran on the device
-  EXPECT_LT(batch_residual(batch), 1e-8);
+  EXPECT_LE(tridiag::relative_residual(batch, batch.x()),
+            tridiag::residual_bound<double>(32));
 }
 
 TEST(GuardedChunking, AbsorbsInjectedOomViaBisect) {
@@ -247,7 +238,8 @@ TEST(GuardedChunking, AbsorbsInjectedOomViaBisect) {
   solver::GuardedSolver<double> guard(dev, inner);
   const auto res = guard.solve(batch);
   ASSERT_TRUE(res.all_solved());
-  EXPECT_LT(batch_residual(batch), 1e-8);
+  EXPECT_LE(tridiag::relative_residual(batch, batch.x()),
+            tridiag::residual_bound<double>(64));
 }
 
 TEST(GuardedChunking, EmitsChunkTelemetry) {
@@ -302,7 +294,8 @@ TEST(GuardedChunking, OneBisectAbsorbsQuarantineAndInjectedOomTogether) {
   EXPECT_EQ(res.status[culprit], solver::SystemStatus::FallbackUsed);
   EXPECT_GE(res.quarantined + res.oom_fallback_systems, 1u);
   EXPECT_GT(res.oom_events, 0u);
-  EXPECT_LT(batch_residual(batch), 1e-8);
+  EXPECT_LE(tridiag::relative_residual(batch, batch.x()),
+            tridiag::residual_bound<double>(n));
 }
 
 // ---------- service: memory admission, watchdog, timeout scopes ----------
@@ -381,15 +374,14 @@ TEST(ServiceMemory, TenPercentBudgetStillSolvesEverythingViaChunking) {
     const auto resp = futs[i].get();
     ASSERT_EQ(resp.status, SolveStatus::Ok) << to_string(resp.status);
     EXPECT_GT(resp.chunks, 1u);
-    double worst = 0.0;
     const auto& req = copies[i];
-    for (std::size_t k = 0; k < req.size(); ++k) {
-      double acc = req.b[k] * resp.x[k] - req.d[k];
-      if (k > 0) acc += req.a[k] * resp.x[k - 1];
-      if (k + 1 < req.size()) acc += req.c[k] * resp.x[k + 1];
-      worst = std::max(worst, std::abs(acc));
-    }
-    EXPECT_LT(worst, 1e-8);
+    ASSERT_EQ(resp.x.size(), req.size());
+    EXPECT_LE(tridiag::relative_residual(
+                  tridiag::contiguous_system(req.a.data(), req.b.data(),
+                                             req.c.data(), req.d.data(),
+                                             req.size()),
+                  StridedView<const double>(resp.x.data(), req.size(), 1)),
+              tridiag::residual_bound<double>(req.size()));
   }
   const auto c = svc.counters();
   EXPECT_EQ(c.completed, 64u);

@@ -7,9 +7,11 @@
 
 #include <cmath>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "common/check.hpp"
+#include "cpu/batch_solver.hpp"
 #include "faults/faults.hpp"
 #include "gpusim/device.hpp"
 #include "solver/gpu_solver.hpp"
@@ -82,11 +84,15 @@ TEST(Prescreen, DominanceFloorRoutesWeakSystems) {
 
 // ---------- relative_residual ----------
 
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
 TEST(Residual, ExactSolutionIsTiny) {
   std::vector<double> x_true;
   auto batch = tridiag::make_with_known_solution<double>(1, 128, 5, &x_true);
   for (std::size_t i = 0; i < x_true.size(); ++i) batch.x()[i] = x_true[i];
-  EXPECT_LT(system_residual(batch, batch, 0), 1e-12);
+  EXPECT_LE(system_residual(batch, batch, 0),
+            tridiag::residual_bound<double>(128));
 }
 
 TEST(Residual, WrongSolutionIsLarge) {
@@ -97,8 +103,61 @@ TEST(Residual, WrongSolutionIsLarge) {
 
 TEST(Residual, NonFiniteSolutionIsInfinite) {
   auto batch = tridiag::make_diag_dominant<double>(1, 32, 7);
-  batch.x()[3] = std::numeric_limits<double>::quiet_NaN();
+  batch.x()[3] = kNaN;
   EXPECT_TRUE(std::isinf(system_residual(batch, batch, 0)));
+}
+
+TEST(Residual, NonFiniteRhsOrCoefficientIsInfinite) {
+  for (const double bad : {kNaN, kInf}) {
+    for (const int lane : {0, 1, 2, 3}) {  // a, b, c, d
+      auto batch = tridiag::make_diag_dominant<double>(1, 16, 8);
+      const auto solved = solver::pivoting_fallback<double>(batch.system(0),
+                                                            batch.solution(0));
+      ASSERT_EQ(solved, SystemStatus::FallbackUsed);
+      const std::span<double> lanes[] = {batch.a(), batch.b(), batch.c(),
+                                         batch.d()};
+      lanes[lane][5] = bad;
+      EXPECT_TRUE(std::isinf(system_residual(batch, batch, 0)))
+          << "lane " << lane << " value " << bad;
+    }
+  }
+  // a[0] and c[n-1] lie outside the matrix: they are not read.
+  auto batch = tridiag::make_diag_dominant<double>(1, 16, 9);
+  batch.a()[0] = kNaN;
+  batch.c()[15] = kInf;
+  EXPECT_TRUE(std::isfinite(system_residual(batch, batch, 0)));
+}
+
+TEST(Residual, BatchFormSeesOneNonFiniteSystem) {
+  auto batch = tridiag::make_diag_dominant<double>(4, 64, 10);
+  auto pristine = batch;
+  cpu::BatchCpuSolver(1).solve(batch);
+  EXPECT_LE(tridiag::relative_residual(pristine, batch.x()),
+            tridiag::residual_bound<double>(64));
+  batch.x()[2 * 64 + 17] = kNaN;
+  EXPECT_TRUE(std::isinf(tridiag::relative_residual(pristine, batch.x())));
+}
+
+TEST(Residual, AllZeroSystemIsZero) {
+  tridiag::TridiagBatch<double> batch(1, 8);  // a = b = c = d = x = 0
+  EXPECT_EQ(system_residual(batch, batch, 0), 0.0);
+}
+
+TEST(Residual, HandComputed3x3) {
+  // A = [2 1 0; 1 3 1; 0 1 4], x = (1, 2, 3), d = (4, 10, 15):
+  // A x = (4, 10, 14), so ||A x - d|| = 1, ||A|| = 5, ||x|| = 3,
+  // ||d|| = 15 and the backward error is 1 / (5 * 3 + 15) = 1/30.
+  tridiag::TridiagBatch<double> batch(1, 3);
+  const double a[] = {0, 1, 1}, b[] = {2, 3, 4}, c[] = {1, 1, 0},
+               d[] = {4, 10, 15}, x[] = {1, 2, 3};
+  for (std::size_t i = 0; i < 3; ++i) {
+    batch.a()[i] = a[i];
+    batch.b()[i] = b[i];
+    batch.c()[i] = c[i];
+    batch.d()[i] = d[i];
+    batch.x()[i] = x[i];
+  }
+  EXPECT_EQ(system_residual(batch, batch, 0), 1.0 / 30.0);
 }
 
 // ---------- pivoting_fallback ----------
@@ -112,7 +171,8 @@ TEST(PivotingFallback, SolvesZeroLeadingPivot) {
   const auto st =
       pivoting_fallback<double>(batch.system(0), batch.solution(0));
   EXPECT_EQ(st, SystemStatus::FallbackUsed);
-  EXPECT_LT(system_residual(pristine, batch, 0), 1e-10);
+  EXPECT_LE(system_residual(pristine, batch, 0),
+            tridiag::residual_bound<double>(batch.system_size()));
 }
 
 TEST(PivotingFallback, ReportsSingular) {
@@ -144,7 +204,8 @@ TEST(GuardedSolver, CleanBatchSolvesOnGpu) {
   EXPECT_EQ(r.gpu_solved, 8u);
   EXPECT_EQ(r.fallback_used, 0u);
   EXPECT_EQ(r.quarantined, 0u);
-  EXPECT_LT(tridiag::batch_residual_inf(pristine, batch.x()), 1e-10);
+  EXPECT_LE(tridiag::relative_residual(pristine, batch.x()),
+            tridiag::residual_bound<double>(1024));
 }
 
 TEST(GuardedSolver, PoisonedSystemsGetTypedStatusAndBatchmatesSolve) {
@@ -164,7 +225,9 @@ TEST(GuardedSolver, PoisonedSystemsGetTypedStatusAndBatchmatesSolve) {
   EXPECT_EQ(r.gpu_solved, 6u);
   for (std::size_t s : {0u, 1u, 3u, 4u, 6u, 7u}) {
     EXPECT_EQ(r.status[s], SystemStatus::Ok) << "system " << s;
-    EXPECT_LT(system_residual(pristine, batch, s), 1e-10) << "system " << s;
+    EXPECT_LE(system_residual(pristine, batch, s),
+              tridiag::residual_bound<double>(batch.system_size()))
+        << "system " << s;
   }
 }
 
@@ -184,7 +247,9 @@ TEST(GuardedSolver, RecoverablePivotProblemUsesFallback) {
   EXPECT_EQ(r.prescreen_routed, 1u);
   EXPECT_TRUE(r.all_solved());
   for (std::size_t s = 0; s < 4; ++s) {
-    EXPECT_LT(system_residual(pristine, batch, s), 1e-10) << "system " << s;
+    EXPECT_LE(system_residual(pristine, batch, s),
+              tridiag::residual_bound<double>(batch.system_size()))
+        << "system " << s;
   }
 }
 
@@ -212,11 +277,14 @@ TEST(GuardedSolver, BisectQuarantinesCulpritWithoutPrescreen) {
   EXPECT_EQ(r.quarantined, 1u);
   EXPECT_EQ(r.prescreen_routed, 0u);
   EXPECT_EQ(r.status[3], SystemStatus::FallbackUsed);
-  EXPECT_LT(system_residual(pristine, batch, 3), 1e-10);
+  EXPECT_LE(system_residual(pristine, batch, 3),
+            tridiag::residual_bound<double>(batch.system_size()));
   for (std::size_t s = 0; s < 8; ++s) {
     if (s == 3) continue;
     EXPECT_EQ(r.status[s], SystemStatus::Ok) << "system " << s;
-    EXPECT_LT(system_residual(pristine, batch, s), 1e-10) << "system " << s;
+    EXPECT_LE(system_residual(pristine, batch, s),
+              tridiag::residual_bound<double>(batch.system_size()))
+        << "system " << s;
   }
 }
 
@@ -242,7 +310,9 @@ TEST(GuardedSolver, ResidualPostcheckEscalatesToFallback) {
   EXPECT_EQ(r.fallback_used, 1u);
   EXPECT_TRUE(r.all_solved());
   for (std::size_t s = 0; s < 4; ++s) {
-    EXPECT_LT(system_residual(pristine, batch, s), 1e-10) << "system " << s;
+    EXPECT_LE(system_residual(pristine, batch, s),
+              tridiag::residual_bound<double>(batch.system_size()))
+        << "system " << s;
   }
 }
 
@@ -317,7 +387,9 @@ TEST(IllConditioned, TypedStatusAcrossAllStages) {
     EXPECT_EQ(r.status[tc.m - 1], SystemStatus::Singular);
     for (std::size_t s = 1; s + 1 < tc.m; ++s) {
       EXPECT_EQ(r.status[s], SystemStatus::Ok) << "system " << s;
-      EXPECT_LT(system_residual(pristine, batch, s), 1e-9) << "system " << s;
+      EXPECT_LE(system_residual(pristine, batch, s),
+                tridiag::residual_bound<double>(batch.system_size()))
+          << "system " << s;
     }
   }
 }
@@ -347,7 +419,9 @@ TEST(IllConditioned, NonDominantSolvableSystemPassesPostcheck) {
   const auto r = guard.solve(batch);
   EXPECT_TRUE(r.all_solved());
   for (std::size_t s = 0; s < 4; ++s) {
-    EXPECT_LT(system_residual(pristine, batch, s), 1e-8) << "system " << s;
+    EXPECT_LE(system_residual(pristine, batch, s),
+              tridiag::residual_bound<double>(batch.system_size()))
+        << "system " << s;
   }
 }
 

@@ -44,19 +44,6 @@ SolveRequest<double> make_request(std::size_t n, std::uint64_t seed,
   return req;
 }
 
-double request_residual(const SolveRequest<double>& req,
-                        const std::vector<double>& x) {
-  const std::size_t n = req.size();
-  double worst = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    double acc = req.b[i] * x[i] - req.d[i];
-    if (i > 0) acc += req.a[i] * x[i - 1];
-    if (i + 1 < n) acc += req.c[i] * x[i + 1];
-    worst = std::max(worst, std::abs(acc));
-  }
-  return worst;
-}
-
 std::vector<gpusim::DeviceSpec> one_device() {
   return {gpusim::geforce_gtx_470()};
 }
@@ -71,7 +58,8 @@ TEST(SolveService, SolvesSingleRequest) {
   auto resp = fut.get();
   ASSERT_EQ(resp.status, SolveStatus::Ok) << to_string(resp.status);
   ASSERT_EQ(resp.x.size(), 257u);
-  EXPECT_LT(request_residual(copy, resp.x), 1e-8);
+  EXPECT_LE(backward_error(copy, resp.x),
+            tridiag::residual_bound<double>(257));
   EXPECT_EQ(resp.device, "GeForce GTX 470");
   EXPECT_GE(resp.batch_systems, 1u);
 }
@@ -482,7 +470,8 @@ TEST(SolveServiceHammer, ManyClientsManyShapes) {
         auto resp = futs[i].get();
         if (resp.status == SolveStatus::Ok) {
           ok.fetch_add(1);
-          if (request_residual(copies[i], resp.x) > 1e-8)
+          if (backward_error(copies[i], resp.x) >
+              tridiag::residual_bound<double>(copies[i].size()))
             residual_fail.fetch_add(1);
         }
       }
@@ -564,7 +553,8 @@ TEST(SolveServiceResilience, PoisonedSystemsGetTypedStatusOthersComplete) {
     } else {
       // One bad batchmate must never take down the rest of the batch.
       ASSERT_EQ(resp.status, SolveStatus::Ok) << "request " << i;
-      EXPECT_LT(request_residual(copies[i], resp.x), 1e-8);
+      EXPECT_LE(backward_error(copies[i], resp.x),
+                tridiag::residual_bound<double>(copies[i].size()));
     }
   }
   const auto c = svc.counters();
@@ -626,7 +616,8 @@ TEST(SolveServiceResilience, DeviceFaultsAreRetriedToCompletion) {
   for (int i = 0; i < 48; ++i) {
     auto resp = futs[i].get();
     ASSERT_EQ(resp.status, SolveStatus::Ok) << "request " << i;
-    EXPECT_LT(request_residual(copies[i], resp.x), 1e-8);
+    EXPECT_LE(backward_error(copies[i], resp.x),
+              tridiag::residual_bound<double>(copies[i].size()));
   }
   // At 30% launch-failure some batches must have needed another attempt
   // (retry, failover or CPU fallback) — yet every request completed.
@@ -656,7 +647,8 @@ TEST(SolveServiceResilience, TotalDeviceFailureFailsOverToCpu) {
     auto resp = futs[i].get();
     ASSERT_EQ(resp.status, SolveStatus::Ok) << "request " << i;
     EXPECT_TRUE(resp.fallback_used);
-    EXPECT_LT(request_residual(copies[i], resp.x), 1e-10);
+    EXPECT_LE(backward_error(copies[i], resp.x),
+              tridiag::residual_bound<double>(copies[i].size()));
   }
   const auto c = svc.counters();
   EXPECT_EQ(c.completed, 8u);
